@@ -18,9 +18,13 @@ constexpr int kVersion = 4;
 
 std::string hex(double v) { return hexio::format_double(v); }
 
+/// An atom record is 9 whitespace-separated tokens, each at least one byte
+/// plus its leading separator.
+constexpr std::size_t kMinAtomRecordBytes = 18;
+
 /// Header + atom records (everything between the version line and the v2+
 /// footer), shared by all format versions.
-Checkpoint parse_body(std::istream& in, int version) {
+Checkpoint parse_body(std::istream& in, std::size_t body_bytes, int version) {
   std::string kw_atoms, kw_mass, kw_box, kw_step;
   std::size_t n = 0;
   std::string mass_tok, box_tok;
@@ -30,6 +34,18 @@ Checkpoint parse_body(std::istream& in, int version) {
       kw_atoms != "atoms" || kw_mass != "mass" || kw_box != "box" ||
       kw_step != "step") {
     throw RuntimeFailure("checkpoint: malformed state line");
+  }
+  // Bound the atom count by what the rest of the body can hold BEFORE it
+  // sizes any allocation: a CRC-valid header claiming billions of atoms is
+  // malformed input, not an out-of-memory condition.
+  const std::streamoff consumed =
+      in.rdbuf()->pubseekoff(0, std::ios_base::cur, std::ios_base::in);
+  const std::size_t remaining =
+      consumed < 0 ? 0 : body_bytes - static_cast<std::size_t>(consumed);
+  if (n > remaining / kMinAtomRecordBytes) {
+    throw RuntimeFailure("checkpoint: atom count " + std::to_string(n) +
+                         " exceeds what the remaining " +
+                         std::to_string(remaining) + " bytes can hold");
   }
 
   Checkpoint cp;
@@ -221,7 +237,7 @@ Checkpoint load_checkpoint(std::istream& in) {
   std::string skip_magic;
   int skip_version = 0;
   body >> skip_magic >> skip_version;
-  return parse_body(body, version);
+  return parse_body(body, content.size(), version);
 }
 
 }  // namespace emdpa::md

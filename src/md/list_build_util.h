@@ -1,8 +1,7 @@
-// Internal helpers shared by the flat (ParallelNeighborListT) and sharded
-// (ShardedNeighborListT) neighbour-list builds.  Everything here is part of
-// the determinism contract: the padding unit, the chunk decomposition of the
-// counting sort and the all-pairs fallback must be IDENTICAL in both builds,
-// because the sharded CSR is proven bitwise equal to the flat one.
+// Internal helpers of the neighbour-list build (ParallelNeighborListT).
+// Everything here is part of the determinism contract: the padding unit, the
+// chunk decomposition of the counting sort and the all-pairs fallback fix the
+// bytes of the CSR, which must not depend on the thread count.
 #pragma once
 
 #include <algorithm>

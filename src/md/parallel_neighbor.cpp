@@ -98,9 +98,7 @@ template <typename Real>
 void ParallelNeighborListT<Real>::bin_atoms(std::size_t n, std::size_t cells,
                                             std::size_t n_cells,
                                             double inv_cell) {
-  // The three passes live in list_build_util.h, SHARED with the sharded
-  // build — one copy of the stable counting sort is what makes "sharded CSR
-  // == flat CSR" provable rather than merely tested.
+  // The three passes of the stable counting sort live in list_build_util.h.
   (void)n;
   auto run = [this](std::size_t count, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body) {
@@ -194,7 +192,7 @@ void ParallelNeighborListT<Real>::build(
   const std::size_t n_cells = cells * cells * cells;
   bin_atoms(n, cells, n_cells, inv_cell);
 
-  // Per-axis wrapped stencil indices (shared with the sharded build).
+  // Per-axis wrapped stencil indices.
   listutil::fill_stencil_axis(cells, static_cast<std::size_t>(range),
                               stencil_axis_);
 

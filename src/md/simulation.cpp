@@ -1,6 +1,5 @@
 #include "md/simulation.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -11,7 +10,6 @@
 #include "md/checkpoint.h"
 #include "md/observables.h"
 #include "md/reference_kernel.h"
-#include "md/sharded_domain.h"
 #include "md/single_precision.h"
 #include "md/soa_kernel.h"
 
@@ -21,24 +19,7 @@ namespace {
 
 SimKernel resolve_kernel(const Simulation::Options& options,
                          std::size_t n_atoms) {
-  EMDPA_REQUIRE(!options.use_cell_list ||
-                    options.kernel == SimKernel::kAuto ||
-                    options.kernel == SimKernel::kCellList,
-                "use_cell_list conflicts with an explicit kernel choice");
-  if (options.shards > 0) {
-    // --shards selects the sharded build of the list path; it has no
-    // meaning for the other kernels, so combining them is a config error,
-    // not something to silently ignore.
-    EMDPA_REQUIRE(!options.use_cell_list &&
-                      (options.kernel == SimKernel::kAuto ||
-                       options.kernel == SimKernel::kNeighborList ||
-                       options.kernel == SimKernel::kShardedList),
-                  "shards > 0 requires the neighbour-list kernel "
-                  "(kAuto, kNeighborList or kShardedList)");
-    return SimKernel::kShardedList;
-  }
   if (options.kernel != SimKernel::kAuto) return options.kernel;
-  if (options.use_cell_list) return SimKernel::kCellList;
   return n_atoms >= HostParallelBackend::kListCrossoverAtoms
              ? SimKernel::kNeighborList
              : SimKernel::kSoaN2;
@@ -126,41 +107,6 @@ KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
       }
       return b;
     }
-    case SimKernel::kShardedList: {
-      auto adopt = [&](auto kernel) {
-        b.isa = kernel->isa();
-        b.width = kernel->simd_width();
-        b.list_control = kernel.get();
-        b.kernel = std::move(kernel);
-      };
-      const std::size_t shards = std::max<std::size_t>(1, options.shards);
-      if (precision == PrecisionMode::kSingle) {
-        ShardedNeighborListKernelF::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        o.shards = shards;
-        adopt(std::make_unique<SingleShardedListKernel>(o));
-      } else if (precision == PrecisionMode::kMixed) {
-        ShardedNeighborListKernelMixed::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        o.shards = shards;
-        adopt(std::make_unique<ShardedNeighborListKernelMixed>(o));
-      } else {
-        ShardedNeighborListKernel::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        o.shards = shards;
-        adopt(std::make_unique<ShardedNeighborListKernel>(o));
-      }
-      return b;
-    }
     case SimKernel::kAuto:
       break;  // resolved before we get here
   }
@@ -207,7 +153,6 @@ const char* to_string(SimKernel kernel) {
     case SimKernel::kCellList: return "cell-list";
     case SimKernel::kSoaN2: return "soa-n2";
     case SimKernel::kNeighborList: return "neighbor-list";
-    case SimKernel::kShardedList: return "sharded-list";
   }
   return "unknown";
 }
@@ -229,9 +174,6 @@ Simulation::Simulation(ParticleSystem system, PeriodicBox box, long step,
       lj_(options.lj),
       integrator_(options.dt),
       kernel_kind_(resolve_kernel(options, system_.size())),
-      shards_(kernel_kind_ == SimKernel::kShardedList
-                  ? std::max<std::size_t>(1, options.shards)
-                  : 0),
       precision_(options.precision),
       degrade_enabled_(options.degrade_to_reference),
       step_(step) {
@@ -265,10 +207,14 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
     // The three knobs recorded in the checkpoint change the arithmetic of
     // every subsequent step; resuming under different ones silently breaks
     // the bitwise-resume guarantee, so any mismatch is fatal by default.
-    const CheckpointConfig resumed{
-        sim.config_kernel_token(), to_string(sim.precision_),
-        sim.simd_isa_ ? simd::to_string(*sim.simd_isa_) : "none"};
-    const CheckpointConfig& saved = *checkpoint.config;
+    const CheckpointConfig resumed = sim.config();
+    CheckpointConfig saved = *checkpoint.config;
+    // Checkpoints of the retired slab-partitioned list build carry their
+    // own kernel token; that build's CSR was byte-identical to the flat
+    // list's, so they resume bitwise as neighbor-list.
+    if (saved.kernel.starts_with("sharded-list/")) {
+      saved.kernel = to_string(SimKernel::kNeighborList);
+    }
     std::string mismatches;
     auto compare = [&](const char* what, const std::string& was,
                        const std::string& now) {
@@ -305,19 +251,9 @@ ForceKernel& Simulation::active_kernel() {
 
 std::string Simulation::kernel_name() const { return lj_kernel_->name(); }
 
-std::string Simulation::config_kernel_token() const {
-  // One whitespace-free token (the checkpoint config section is parsed with
-  // operator>>): the sharded path appends its shard count so a resume under
-  // a different decomposition is a config mismatch like any other.  The
-  // shard count changes which worker builds what — never the bits — but a
-  // silent change would still invalidate any perf conclusions drawn from
-  // the resumed run, and an explicit override (--resume-force) stays
-  // available.
-  std::string token = to_string(kernel_kind_);
-  if (kernel_kind_ == SimKernel::kShardedList) {
-    token += "/" + std::to_string(shards_);
-  }
-  return token;
+CheckpointConfig Simulation::config() const {
+  return CheckpointConfig{to_string(kernel_kind_), to_string(precision_),
+                          simd_isa_ ? simd::to_string(*simd_isa_) : "none"};
 }
 
 std::uint64_t Simulation::list_rebuilds() const {
@@ -330,10 +266,6 @@ double Simulation::list_build_bin_seconds() const {
 
 double Simulation::list_build_fill_seconds() const {
   return list_control_ != nullptr ? list_control_->list_fill_seconds() : 0;
-}
-
-double Simulation::list_build_halo_seconds() const {
-  return list_control_ != nullptr ? list_control_->list_halo_seconds() : 0;
 }
 
 void Simulation::prime() {
@@ -422,7 +354,6 @@ StepEnergies Simulation::step_once() {
 
 void Simulation::degrade_now() {
   kernel_kind_ = SimKernel::kReference;
-  shards_ = 0;
   list_control_ = nullptr;
   simd_isa_.reset();
   simd_width_ = 1;
@@ -443,8 +374,7 @@ void Simulation::degrade_now() {
 
 StepEnergies Simulation::step() {
   const bool can_degrade = degrade_enabled_ && !degraded_ &&
-                           (kernel_kind_ == SimKernel::kNeighborList ||
-                            kernel_kind_ == SimKernel::kShardedList);
+                           kernel_kind_ == SimKernel::kNeighborList;
   if (!can_degrade) return step_once();
 
   // Snapshot so a failed step can be retried cleanly on the fallback kernel
@@ -485,9 +415,7 @@ void Simulation::save(std::ostream& out) {
   // Record the arithmetic-determining configuration (resolved, never kAuto;
   // a degraded run records the reference kernel it actually executes) so a
   // resume under different flags fails loudly instead of silently diverging.
-  cp.config =
-      CheckpointConfig{config_kernel_token(), to_string(precision_),
-                       simd_isa_ ? simd::to_string(*simd_isa_) : "none"};
+  cp.config = config();
   if (langevin_) cp.langevin_rng = langevin_->rng_state();
   save_checkpoint(out, cp);
   // Saving is a bitwise synchronisation point: drop the neighbour list so
@@ -503,9 +431,7 @@ Checkpoint Simulation::snapshot() const {
   cp.step = step_;
   cp.potential = last_energies_.potential;
   cp.has_potential = true;
-  cp.config =
-      CheckpointConfig{config_kernel_token(), to_string(precision_),
-                       simd_isa_ ? simd::to_string(*simd_isa_) : "none"};
+  cp.config = config();
   if (langevin_) cp.langevin_rng = langevin_->rng_state();
   // Pure observer: instead of invalidating the live neighbour list (save()'s
   // sync point, a bitwise perturbation of the continuing run), capture the
@@ -524,11 +450,6 @@ Simulation::Options simulation_options_from(const RunConfig& config,
   options.lj = config.lj;
   options.dt = config.dt;
   options.kernel = to_sim_kernel(config.host_kernel);
-  // --shards auto (-1) means one shard per pool worker slot — the pool
-  // sweeps shards one per chunk, so that is the widest useful count.
-  options.shards = config.shards < 0
-                       ? (pool != nullptr ? pool->size() : 1)
-                       : static_cast<std::size_t>(config.shards);
   options.pool = pool;
   options.precision = config.precision;
   options.simd_isa = config.simd_isa;

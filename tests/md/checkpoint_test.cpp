@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "core/crc32.h"
 #include "core/error.h"
@@ -299,6 +300,23 @@ TEST(Checkpoint, ListrefRejectsNonPositiveCutoff) {
       "0 0 0\n"
       "0 0 0 0 0 0 0 0 0\n"));
   EXPECT_THROW(load_checkpoint(stream), RuntimeFailure);
+}
+
+TEST(Checkpoint, RejectsAtomCountTheBodyCannotHold) {
+  // CRC-valid, but the header claims four billion atoms over a one-record
+  // body: the parser must fail typed before it sizes any allocation.
+  std::stringstream stream(with_crc_footer(
+      "emdpa-checkpoint 4\n"
+      "atoms 4000000000 mass 0x1p+0 box 0x1p+2 step 0 pe 0x0p+0\n"
+      "0 0 0 0 0 0 0 0 0\n"));
+  try {
+    load_checkpoint(stream);
+    FAIL() << "an impossible atom count loaded";
+  } catch (const RuntimeFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("atom count 4000000000"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Checkpoint, V3FilesDoNotAdmitListref) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/error.h"
 #include "core/thread_pool.h"
 #include "md/integrator.h"
 #include "md/parallel_neighbor.h"
@@ -117,8 +118,7 @@ TEST(NeighborListKernel, ReusesListAcrossCloseConfigurations) {
 }
 
 TEST(NeighborListKernel, CutoffChangeForcesRebuild) {
-  // Same stale-cutoff scenario as the Verlet regression test: the list path
-  // must never reuse a list built for a different cutoff.
+  // The list path must never reuse a list built for a different cutoff.
   std::vector<Vec3d> pos = {{5.0, 5.0, 5.0}, {7.0, 5.0, 5.0}};
   PeriodicBox box(20.0);
   NeighborListKernel kernel;
@@ -157,6 +157,51 @@ TEST(NeighborListKernel, SkinDisplacementForcesRebuild) {
   w.system.positions()[0].x += 0.1;
   kernel.compute(w.system.positions(), w.box, lj, 1.0);
   EXPECT_EQ(kernel.rebuilds(), 2u);
+}
+
+TEST(NeighborListKernel, RejectsNegativeSkin) {
+  NeighborListKernel::Options options;
+  options.skin = -0.1;
+  EXPECT_THROW(NeighborListKernel{options}, ContractViolation);
+}
+
+TEST(NeighborListKernel, ZeroSkinRebuildsEveryMove) {
+  WorkloadSpec spec;
+  spec.n_atoms = 64;
+  spec.temperature = 0.5;
+  Workload w = make_lattice_workload(spec);
+  LjParams lj;
+  NeighborListKernel::Options options;
+  options.skin = 0.0;
+  NeighborListKernel kernel(options);
+  kernel.compute(w.system.positions(), w.box, lj, 1.0);
+  w.system.positions()[0].x += 0.01;
+  kernel.compute(w.system.positions(), w.box, lj, 1.0);
+  EXPECT_EQ(kernel.rebuilds(), 2u);
+}
+
+TEST(NeighborListKernel, AtomCountChangeForcesRebuild) {
+  LjParams lj;
+  NeighborListKernel kernel;
+  WorkloadSpec small_spec;
+  small_spec.n_atoms = 64;
+  Workload small = make_lattice_workload(small_spec);
+  kernel.compute(small.system.positions(), small.box, lj, 1.0);
+
+  WorkloadSpec big_spec;
+  big_spec.n_atoms = 125;
+  Workload big = make_lattice_workload(big_spec);
+  const auto r = kernel.compute(big.system.positions(), big.box, lj, 1.0);
+  EXPECT_EQ(kernel.rebuilds(), 2u);
+  EXPECT_EQ(r.accelerations.size(), 125u);
+
+  // Same box and cutoff, one atom fewer: the atom count alone forces a
+  // rebuild.
+  std::vector<Vec3d> fewer = big.system.positions();
+  fewer.pop_back();
+  const auto f = kernel.compute(fewer, big.box, lj, 1.0);
+  EXPECT_EQ(kernel.rebuilds(), 3u);
+  EXPECT_EQ(f.accelerations.size(), 124u);
 }
 
 TEST(NeighborListKernel, CandidatesBoundedByListNotNSquared) {

@@ -4,8 +4,8 @@
 
 #include "md/cell_list_kernel.h"
 #include "md/observables.h"
+#include "md/parallel_neighbor.h"
 #include "md/reference_kernel.h"
-#include "md/verlet_list_kernel.h"
 #include "md/workload.h"
 
 namespace emdpa::md {
@@ -49,10 +49,10 @@ TEST(Pressure, AllKernelsAgreeOnVirial) {
   LjParams lj;
   ReferenceKernel ref;
   CellListKernel cells;
-  VerletListKernel verlet;
+  NeighborListKernel list;  // serial: pool = nullptr
   const double a = ref.compute(w.system.positions(), w.box, lj, 1.0).virial;
   const double b = cells.compute(w.system.positions(), w.box, lj, 1.0).virial;
-  const double c = verlet.compute(w.system.positions(), w.box, lj, 1.0).virial;
+  const double c = list.compute(w.system.positions(), w.box, lj, 1.0).virial;
   EXPECT_NEAR(a, b, 1e-8 * std::fabs(a));
   EXPECT_NEAR(a, c, 1e-8 * std::fabs(a));
 }

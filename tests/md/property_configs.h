@@ -1,7 +1,5 @@
-// Shared randomized-workload recipes for the neighbour-list property
-// harnesses (neighbor_property_test.cpp and shard_invariance_test.cpp run
-// over the SAME 50 seeded configs, so "sharded CSR == flat CSR" is asserted
-// on exactly the population the flat list is already proven against).
+// Randomized-workload recipes for the neighbour-list property harness
+// (neighbor_property_test.cpp runs over 50 seeded configs).
 //
 // Everything is seeded: a failure reproduces from the config index alone.
 #pragma once

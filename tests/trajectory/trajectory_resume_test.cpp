@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/crc32.h"
 #include "core/error.h"
 #include "core/thread_pool.h"
 #include "md/simulation.h"
@@ -24,6 +25,10 @@ struct ResumeCase {
   SimKernel kernel;
   bool pooled;
 };
+
+// gtest would otherwise print the raw bytes of the case, pointer included,
+// into every test name; the name alone keeps the names stable across builds.
+void PrintTo(const ResumeCase& c, std::ostream* os) { *os << c.name; }
 
 class TrajectoryResumeTest : public ::testing::TestWithParam<ResumeCase> {};
 
@@ -178,6 +183,66 @@ TEST(TrajectoryResumeConfig, MatchingConfigResumesQuietly) {
 
   Simulation resumed = Simulation::resume(checkpoint, options);
   EXPECT_EQ(resumed.current_step(), 20);
+}
+
+/// `checkpoint` (a save() stream) with its recorded kernel token replaced by
+/// `token` and the CRC footer recomputed, so only the config check can
+/// object to it.
+std::string with_kernel_token(const std::string& checkpoint,
+                              const std::string& token) {
+  std::string body = strip_crc_footer(checkpoint, "checkpoint");
+  const std::string key = "config kernel neighbor-list ";
+  const std::size_t at = body.find(key);
+  EXPECT_NE(at, std::string::npos);
+  body.replace(at, key.size(), "config kernel " + token + " ");
+  return with_crc_footer(body);
+}
+
+TEST(TrajectoryResumeConfig, RetiredListTokenResumesAsNeighborList) {
+  // Checkpoints of the retired slab-partitioned list build record their own
+  // kernel token.  That build's CSR was byte-identical to the flat list's,
+  // so such a checkpoint resumes on the flat list and continues bitwise.
+  ThreadPool pool(4);
+  Simulation::Options options;
+  options.workload.n_atoms = 256;
+  options.kernel = SimKernel::kNeighborList;
+  options.pool = &pool;
+  constexpr int kTotalSteps = 120;
+  constexpr int kCheckpointStep = 60;
+
+  Simulation uninterrupted(options);
+  uninterrupted.run(kCheckpointStep);
+  std::stringstream saved;
+  uninterrupted.save(saved);
+  uninterrupted.run(kTotalSteps - kCheckpointStep);
+
+  std::stringstream retired(with_kernel_token(saved.str(), "sharded-list/4"));
+  Simulation resumed = Simulation::resume(retired, options);
+  ASSERT_EQ(resumed.current_step(), kCheckpointStep);
+  ASSERT_EQ(resumed.kernel(), SimKernel::kNeighborList);
+  resumed.run(kTotalSteps - kCheckpointStep);
+
+  for (std::size_t i = 0; i < resumed.system().size(); ++i) {
+    EXPECT_EQ(resumed.system().positions()[i],
+              uninterrupted.system().positions()[i])
+        << "position diverged at atom " << i;
+    EXPECT_EQ(resumed.system().velocities()[i],
+              uninterrupted.system().velocities()[i])
+        << "velocity diverged at atom " << i;
+  }
+  EXPECT_EQ(resumed.last_energies().potential,
+            uninterrupted.last_energies().potential);
+
+  // Only that token is mapped: any other recorded kernel still mismatches.
+  std::stringstream other(with_kernel_token(saved.str(), "soa-n2"));
+  try {
+    Simulation::resume(other, options);
+    FAIL() << "a soa-n2 checkpoint resumed on the neighbour list";
+  } catch (const RuntimeFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("configuration mismatch"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
