@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
+
+#include "core/error.h"
 
 namespace emdpa {
 
@@ -40,13 +43,24 @@ struct ThreadPool::Task {
 ThreadPool::ThreadPool(std::size_t n_threads) {
   std::size_t total = n_threads == 0 ? default_thread_count() : n_threads;
   total = std::max<std::size_t>(total, 1);
-  workers_.reserve(total - 1);
-  for (std::size_t i = 0; i + 1 < total; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    workers_.reserve(total - 1);
+    for (std::size_t i = 0; i + 1 < total; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (const std::exception& e) {
+    // The destructor will not run for a half-built pool, and destroying a
+    // joinable std::thread terminates the process: stop what started.
+    stop_workers();
+    throw RuntimeFailure("thread pool: could not start worker " +
+                         std::to_string(workers_.size() + 1) + " of " +
+                         std::to_string(total - 1) + ": " + e.what());
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
@@ -60,7 +74,7 @@ std::size_t ThreadPool::default_thread_count() {
     char* tail = nullptr;
     const long parsed = std::strtol(env, &tail, 10);
     if (tail != env && *tail == '\0' && parsed > 0) {
-      return std::min<long>(parsed, 1024);
+      return std::min<std::size_t>(parsed, kMaxThreads);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();

@@ -32,6 +32,8 @@ class ThreadPool {
  public:
   /// A pool of `n_threads` total execution contexts: the calling thread plus
   /// n_threads - 1 workers.  n_threads == 0 means default_thread_count().
+  /// Throws RuntimeFailure, after joining the workers already started, when
+  /// the system cannot start another thread.
   explicit ThreadPool(std::size_t n_threads = 0);
   ~ThreadPool();
 
@@ -42,8 +44,11 @@ class ThreadPool {
   /// pool of size 1 has no worker threads and runs everything inline).
   std::size_t size() const { return workers_.size() + 1; }
 
-  /// Resolved default: EMDPA_THREADS if set to a positive integer, else
-  /// hardware_concurrency(), never less than 1.
+  /// Cap on an EMDPA_THREADS request and on the CLI's --threads flags.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  /// Resolved default: EMDPA_THREADS if set to a positive integer (capped
+  /// at kMaxThreads), else hardware_concurrency(), never less than 1.
   static std::size_t default_thread_count();
 
   /// Process-wide shared pool, created on first use with the default thread
@@ -90,6 +95,8 @@ class ThreadPool {
   struct Task;
 
   void worker_loop();
+  /// Wake every worker with the stop flag and join it.
+  void stop_workers();
   static void work_on(Task& task);
 
   mutable std::mutex mutex_;

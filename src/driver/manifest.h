@@ -8,18 +8,15 @@
 //   <name> [key=value ...]
 //
 // `name` is the unique job identifier (also its checkpoint file stem, so
-// [A-Za-z0-9._-] only).  Keys, all optional, defaulting like the `run`
-// flags of the same name:
+// [A-Za-z0-9._-] only).  The keys, their accepted values and defaults are
+// the manifest rows of the knob table (driver/knobs.h; `emdpa help` lists
+// them): every run flag with a manifest spelling (atoms=, dt=, kernel=, ...)
+// plus the per-job priority=, max_retries=, deadline= and slice_budget=.
 //
-//   priority=N      scheduling priority (higher first; default 0)
-//   atoms=N         steps=K  density=D  temperature=T  dt=DT  cutoff=C
-//   seed=S          kernel=n2|list|auto
-//   precision=dp|sp|mixed    simd=scalar|sse2|avx2|avx512
-//   degrade=0|1     fall back to the reference kernel on failure
-//   drift_tol=X     arm the health watchdog with this drift tolerance
-//
-// Errors carry the manifest line number; duplicate names are rejected here
-// (and again by the scheduler, for callers that build specs directly).
+// Errors carry the manifest line number and are raised before any job is
+// admitted; duplicate names and duplicate keys on one line are rejected
+// here (names again by the scheduler, for callers that build specs
+// directly).
 #pragma once
 
 #include <iosfwd>

@@ -41,13 +41,13 @@
 // The optional v4 `listref` section carries the reference positions (and
 // combined cutoff+skin radius) the active neighbour list was built from.
 // The list build is a pure function of (positions, box, cutoff), so a
-// restore can rebuild the IDENTICAL list from this section instead of
-// forcing a sync-point rebuild from the current state.  That is what lets
-// Simulation::snapshot() be a pure observer: a trajectory-store snapshot
-// perturbs nothing (store-enabled runs stay bitwise identical to
-// store-disabled runs), yet a replay restored from one continues
-// bit-exactly.  Simulation::save() deliberately does NOT write the section
-// — the checkpoint seam keeps its invalidate-on-save contract.
+// restore rebuilds the IDENTICAL list from this section instead of
+// rebuilding from the current state.  That is what makes saving a pure
+// observer: Simulation::save() and the trajectory store both serialise
+// Simulation::snapshot(), a run that saves is bitwise identical to one that
+// never saves, and a resume from either continues bit-exactly.  Files
+// without the section (older saves, raw-state saves, stateless kernels)
+// still resume: the list is rebuilt from the saved state.
 #pragma once
 
 #include <iosfwd>
@@ -83,17 +83,17 @@ struct Checkpoint {
   /// False for version-1 files, which predate the pe field; a resume from
   /// such a file must re-prime instead of trusting `potential`.
   bool has_potential = false;
-  /// Producing run's configuration, when the writer recorded it (version 3
-  /// files written by Simulation::save; absent in raw-state saves and older
+  /// Producing run's configuration, when the writer recorded it (files
+  /// written by Simulation::save; absent in raw-state saves and version 1-2
   /// files, which resume unverified as before).
   std::optional<CheckpointConfig> config;
   /// Langevin thermostat RNG state, when one was attached at save time.
   std::optional<Rng::State> langevin_rng;
   /// Neighbour-list reference positions (v4 `listref` section): the
   /// positions the active list was built from, widened to double (exact for
-  /// the sp/mixed float lists).  Written by Simulation::snapshot(), consumed
-  /// by Simulation::resume() to reseed an identical list; absent in ordinary
-  /// checkpoints, which keep the invalidate-on-save contract.
+  /// the sp/mixed float lists).  Written by Simulation::snapshot() (and so
+  /// by save()) whenever a list is live, consumed by Simulation::resume() to
+  /// reseed an identical list; absent in raw-state saves and older files.
   std::optional<std::vector<emdpa::Vec3d>> list_ref;
   /// Combined cutoff+skin radius the list was built with (meaningful only
   /// when list_ref is set).

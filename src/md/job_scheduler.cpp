@@ -252,8 +252,9 @@ void JobScheduler::run_slice(JobState& job, std::uint64_t round) {
     job.result.final_energies = sim.last_energies();
     job.result.degraded = sim.degraded();
 
-    // Suspend = checkpoint.  save() is a bitwise synchronisation point, so
-    // resuming this file continues the exact trajectory; a transient I/O
+    // Suspend = checkpoint.  save() perturbs nothing and records the live
+    // neighbour list, so resuming this file continues the exact trajectory
+    // the job would have followed without slicing; a transient I/O
     // failure leaves the committed generations intact but means the only
     // up-to-date state is in memory — pin the job resident until a later
     // suspend commits.  A no-op completion slice (journal `done` whose

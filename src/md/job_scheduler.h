@@ -9,11 +9,11 @@
 // boundaries:
 //
 //   suspend = CheckpointManager save   (atomic commit, CRC-32, rotation)
-//   resume  = bit-exact restore        (v3 config-verified, no re-priming)
+//   resume  = bit-exact restore        (config-verified, list reseeded)
 //
-// Because PR 5 made save/resume bitwise, a time-sliced job's trajectory is
-// bit-for-bit identical to the same job run standalone with the same
-// checkpoint cadence — the scheduling layer is invisible to the physics
+// Saving perturbs nothing and resuming is bitwise, so a time-sliced job's
+// trajectory is bit-for-bit identical to the same job run standalone
+// without saves — the scheduling layer is invisible to the physics
 // (tests/trajectory/trajectory_batch_test.cpp proves it at 1 and 8
 // threads).  On top of that seam:
 //

@@ -82,16 +82,14 @@ enum class SkinPolicy {
 const char* to_string(SkinPolicy policy);
 
 /// What the simulation seam needs from any neighbour-list kernel regardless
-/// of its numeric types: rebuild statistics for the run report, the
-/// checkpoint-time invalidation that keeps a continuing run and a future
-/// resume bitwise identical, and the reference-position capture/reseed pair
-/// the trajectory store's pure-observer snapshots rest on.  Every
+/// of its numeric types: rebuild statistics for the run report, and the
+/// reference-position capture/reseed pair that lets checkpoints and
+/// trajectory-store snapshots observe a run without perturbing it.  Every
 /// NeighborListKernelT instantiation (dp, sp, mixed) implements it.
 class NeighborListControl {
  public:
   virtual ~NeighborListControl() = default;
   virtual std::uint64_t list_rebuilds() const = 0;
-  virtual void invalidate_list() = 0;
   virtual double list_bin_seconds() const = 0;
   virtual double list_fill_seconds() const = 0;
 
@@ -108,8 +106,7 @@ class NeighborListControl {
   /// the exact inverse of list_reference_positions' widening).  The build is
   /// a pure function of (positions, box, cutoff), so seeding with a captured
   /// reference reproduces the captured list bit-for-bit — what lets a
-  /// trajectory-store restore continue a run whose snapshot did NOT
-  /// invalidate the list.
+  /// resume continue a run that kept its list across the save.
   virtual void seed_list(const std::vector<emdpa::Vec3d>& reference,
                          double box_edge, double cutoff) = 0;
 };
@@ -305,7 +302,6 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
 
   // NeighborListControl — the type-erased seam md::Simulation drives.
   std::uint64_t list_rebuilds() const override { return list_.rebuilds(); }
-  void invalidate_list() override { list_.invalidate(); }
   double list_bin_seconds() const override {
     return list_.bin_seconds_total();
   }

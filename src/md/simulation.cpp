@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "core/error.h"
 #include "core/fault_injection.h"
@@ -34,76 +35,76 @@ struct KernelBuild {
   std::size_t width = 1;
 };
 
-KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
+/// A SIMD kernel family's three precisions, after the factory pattern of
+/// ViterbiDecoderCpp's decoder_factory_t: build_family picks the member for
+/// the run's precision and build_simd_kernel fills its Options once.
+struct SoaFamily {
+  using Double = SoaKernel;
+  using Single = SingleSoaKernel;
+  using Mixed = SoaKernelMixed;
+};
+struct NeighborListFamily {
+  using Double = NeighborListKernel;
+  using Single = SingleNeighborListKernel;
+  using Mixed = NeighborListKernelMixed;
+};
+
+template <typename Kernel>
+KernelBuild build_simd_kernel(const Simulation::Options& options) {
+  typename Kernel::Options o;
+  o.pool = options.pool;
+  o.isa = options.simd_isa;
+  if constexpr (requires { o.skin_policy; }) {
+    o.skin = options.skin;
+    o.skin_policy = options.skin_policy;
+  }
+  auto kernel = std::make_unique<Kernel>(o);
   KernelBuild b;
-  const PrecisionMode precision = options.precision;
+  b.isa = kernel->isa();
+  b.width = kernel->simd_width();
+  // The list kernels are the NeighborListControl seam; the sp adapter's is
+  // its float kernel.
+  if constexpr (requires { kernel->inner(); }) {
+    b.list_control = dynamic_cast<NeighborListControl*>(&kernel->inner());
+  } else {
+    b.list_control = dynamic_cast<NeighborListControl*>(kernel.get());
+  }
+  b.kernel = std::move(kernel);
+  return b;
+}
+
+template <typename Family>
+KernelBuild build_family(const Simulation::Options& options) {
+  switch (options.precision) {
+    case PrecisionMode::kSingle:
+      return build_simd_kernel<typename Family::Single>(options);
+    case PrecisionMode::kMixed:
+      return build_simd_kernel<typename Family::Mixed>(options);
+    case PrecisionMode::kDouble:
+      break;
+  }
+  return build_simd_kernel<typename Family::Double>(options);
+}
+
+KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
   switch (kind) {
+    case SimKernel::kSoaN2:
+      return build_family<SoaFamily>(options);
+    case SimKernel::kNeighborList:
+      return build_family<NeighborListFamily>(options);
     case SimKernel::kReference:
-    case SimKernel::kCellList:
-      if (precision != PrecisionMode::kDouble) {
+    case SimKernel::kCellList: {
+      if (options.precision != PrecisionMode::kDouble) {
         throw RuntimeFailure(
-            std::string("precision '") + to_string(precision) +
+            std::string("precision '") + to_string(options.precision) +
             "' requires a SIMD kernel (soa-n2 or neighbor-list); '" +
             to_string(kind) + "' runs double only");
       }
+      KernelBuild b;
       if (kind == SimKernel::kReference) {
         b.kernel = std::make_unique<ReferenceKernel>();
       } else {
         b.kernel = std::make_unique<CellListKernel>();
-      }
-      return b;
-    case SimKernel::kSoaN2: {
-      auto adopt = [&](auto kernel) {
-        b.isa = kernel->isa();
-        b.width = kernel->simd_width();
-        b.kernel = std::move(kernel);
-      };
-      if (precision == PrecisionMode::kSingle) {
-        SoaKernelF::Options o;
-        o.pool = options.pool;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<SingleSoaKernel>(o));
-      } else if (precision == PrecisionMode::kMixed) {
-        SoaKernelMixed::Options o;
-        o.pool = options.pool;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<SoaKernelMixed>(o));
-      } else {
-        SoaKernel::Options o;
-        o.pool = options.pool;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<SoaKernel>(o));
-      }
-      return b;
-    }
-    case SimKernel::kNeighborList: {
-      auto adopt = [&](auto kernel) {
-        b.isa = kernel->isa();
-        b.width = kernel->simd_width();
-        b.list_control = kernel.get();
-        b.kernel = std::move(kernel);
-      };
-      if (precision == PrecisionMode::kSingle) {
-        NeighborListKernelF::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<SingleNeighborListKernel>(o));
-      } else if (precision == PrecisionMode::kMixed) {
-        NeighborListKernelMixed::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<NeighborListKernelMixed>(o));
-      } else {
-        NeighborListKernel::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<NeighborListKernel>(o));
       }
       return b;
     }
@@ -234,11 +235,12 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
   }
   sim.pending_langevin_rng_ = checkpoint.langevin_rng;
   if (checkpoint.list_ref && sim.list_control_ != nullptr) {
-    // Snapshot-style checkpoint: reseed the neighbour list from the captured
-    // reference positions.  The build is a pure function of (positions, box,
-    // cutoff), so this reproduces the list the snapshotted run was using and
-    // the replay continues bit-identically WITHOUT the invalidate-on-save
-    // sync point.
+    // Reseed the neighbour list from the captured reference positions.  The
+    // build is a pure function of (positions, box, cutoff), so this
+    // reproduces the list the saved run was using and the resumed run
+    // continues bit-identically.  Checkpoints written before the listref
+    // section existed rebuild from the saved state instead — exactly what
+    // the run that wrote them did right after saving.
     sim.list_control_->seed_list(*checkpoint.list_ref, checkpoint.box_edge,
                                  checkpoint.list_ref_cutoff);
   }
@@ -406,22 +408,8 @@ void Simulation::run(int steps, const Observer& observer) {
   }
 }
 
-void Simulation::save(std::ostream& out) {
-  Checkpoint cp;
-  cp.system = system_;
-  cp.box_edge = box_.edge();
-  cp.step = step_;
-  cp.potential = last_energies_.potential;
-  // Record the arithmetic-determining configuration (resolved, never kAuto;
-  // a degraded run records the reference kernel it actually executes) so a
-  // resume under different flags fails loudly instead of silently diverging.
-  cp.config = config();
-  if (langevin_) cp.langevin_rng = langevin_->rng_state();
-  save_checkpoint(out, cp);
-  // Saving is a bitwise synchronisation point: drop the neighbour list so
-  // the continuing run and any future resume from this checkpoint both
-  // rebuild it from exactly the state just written.
-  if (list_control_ != nullptr) list_control_->invalidate_list();
+void Simulation::save(std::ostream& out) const {
+  save_checkpoint(out, snapshot());
 }
 
 Checkpoint Simulation::snapshot() const {
@@ -431,11 +419,14 @@ Checkpoint Simulation::snapshot() const {
   cp.step = step_;
   cp.potential = last_energies_.potential;
   cp.has_potential = true;
+  // Record the arithmetic-determining configuration (resolved, never kAuto;
+  // a degraded run records the reference kernel it actually executes) so a
+  // resume under different flags fails loudly instead of silently diverging.
   cp.config = config();
   if (langevin_) cp.langevin_rng = langevin_->rng_state();
-  // Pure observer: instead of invalidating the live neighbour list (save()'s
-  // sync point, a bitwise perturbation of the continuing run), capture the
-  // positions it was built from so a restore can reseed the identical list.
+  // Pure observer: capture the positions the live neighbour list was built
+  // from, so a restore reseeds the identical list instead of rebuilding it
+  // from the current state (which would perturb the continuing trajectory).
   if (list_control_ != nullptr && list_control_->has_list()) {
     cp.list_ref = list_control_->list_reference_positions();
     cp.list_ref_cutoff = list_control_->list_build_cutoff();

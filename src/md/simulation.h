@@ -182,22 +182,18 @@ class Simulation {
   using Observer = std::function<void(long step, const StepEnergies&)>;
   void run(int steps, const Observer& observer = {});
 
-  /// Serialise the full state (checkpoint format v3: potential energy,
-  /// CRC-32 footer, the resolved kernel/precision/ISA configuration, and
-  /// the Langevin thermostat RNG state when one is attached).  Non-const
-  /// because saving is a bitwise synchronisation point: the neighbour list
-  /// is invalidated so the continuing run and any future resume from this
-  /// checkpoint both rebuild it from exactly the state written — the
-  /// trajectories stay bit-identical.
-  void save(std::ostream& out);
+  /// Serialise snapshot() (checkpoint format v4: potential energy, CRC-32
+  /// footer, the resolved kernel/precision/ISA configuration, the Langevin
+  /// thermostat RNG state when one is attached, and the neighbour list's
+  /// reference positions).  Saving perturbs nothing: a run that saves every
+  /// step is bitwise identical to one that never saves, and a resume from
+  /// the file continues bit-exactly.
+  void save(std::ostream& out) const;
 
-  /// Capture the full state as a Checkpoint WITHOUT perturbing the run — the
-  /// trajectory store's seam.  Unlike save(), no neighbour-list invalidation
-  /// happens; instead the checkpoint carries the live list's reference
-  /// positions (v4 `listref` section), so a resume() from it reseeds the
-  /// identical list and continues bit-exactly, while the observed run itself
-  /// proceeds as if nothing was captured.  Store-enabled runs therefore stay
-  /// bitwise identical to store-disabled runs.
+  /// Capture the full state as a Checkpoint without perturbing the run — the
+  /// seam save() and the trajectory store share.  The checkpoint carries the
+  /// live list's reference positions (v4 `listref` section), so a resume()
+  /// from it reseeds the identical list and continues bit-exactly.
   Checkpoint snapshot() const;
 
  private:
@@ -225,7 +221,8 @@ class Simulation {
   std::size_t simd_width_ = 1;
   /// Non-owning control view of lj_kernel_ when it is one of the
   /// neighbour-list kernels (dp, sp or mixed): rebuild statistics plus the
-  /// checkpoint-time invalidation sync point.  nullptr otherwise.
+  /// reference-position capture/reseed pair checkpoints rest on.  nullptr
+  /// otherwise.
   NeighborListControl* list_control_ = nullptr;
   std::unique_ptr<ForceKernel> lj_kernel_;
   std::unique_ptr<ForceKernel> composite_;  ///< LJ + bonds/angles, if any

@@ -21,105 +21,54 @@
 
 namespace emdpa::md {
 
-namespace detail {
-
-/// Narrow the double interface to the float one the sp kernels speak, run,
-/// widen the results back.  Shared by every sp adapter.
-template <typename Kernel>
-ForceResult run_single(Kernel& inner,
-                       std::vector<emdpa::Vec3<float>>& positions_f,
-                       const std::vector<emdpa::Vec3<double>>& positions,
-                       const PeriodicBox& box, const LjParams& lj,
-                       double mass) {
-  positions_f.resize(positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    positions_f[i] = emdpa::Vec3<float>{static_cast<float>(positions[i].x),
-                                        static_cast<float>(positions[i].y),
-                                        static_cast<float>(positions[i].z)};
-  }
-  const PeriodicBoxF box_f(static_cast<float>(box.edge()));
-  const LjParamsF lj_f = lj.cast<float>();
-
-  const ForceResultF inner_result =
-      inner.compute(positions_f, box_f, lj_f, static_cast<float>(mass));
-
-  ForceResult result;
-  result.accelerations.resize(inner_result.accelerations.size());
-  for (std::size_t i = 0; i < inner_result.accelerations.size(); ++i) {
-    const auto& a = inner_result.accelerations[i];
-    result.accelerations[i] = emdpa::Vec3<double>{a.x, a.y, a.z};
-  }
-  result.potential_energy = inner_result.potential_energy;
-  result.virial = inner_result.virial;
-  result.stats = inner_result.stats;
-  return result;
-}
-
-}  // namespace detail
-
-/// SoaKernelT<float> behind the double ForceKernel interface.
-class SingleSoaKernel final : public ForceKernel {
+/// An fp32 kernel (SoaKernelT<float>, NeighborListKernelT<float>) behind
+/// the double ForceKernel interface: narrow the positions once per
+/// evaluation, run the float kernel, widen the results back.
+template <typename Inner>
+class SingleKernel final : public ForceKernel {
  public:
-  explicit SingleSoaKernel(SoaKernelF::Options options = {})
-      : inner_(options) {}
+  using Options = typename Inner::Options;
+
+  explicit SingleKernel(Options options = {}) : inner_(options) {}
 
   std::string name() const override { return inner_.name(); }
   simd::SimdType isa() const { return inner_.isa(); }
   std::size_t simd_width() const { return inner_.simd_width(); }
-
-  ForceResult compute(const std::vector<emdpa::Vec3<double>>& positions,
-                      const PeriodicBox& box, const LjParams& lj,
-                      double mass) override;
-
- private:
-  SoaKernelF inner_;
-  std::vector<emdpa::Vec3<float>> positions_f_;
-};
-
-/// NeighborListKernelF behind the double ForceKernel interface; forwards
-/// the NeighborListControl seam to the inner kernel so md::Simulation can
-/// checkpoint-invalidate and report rebuilds as usual.
-class SingleNeighborListKernel final : public ForceKernel,
-                                       public NeighborListControl {
- public:
-  explicit SingleNeighborListKernel(NeighborListKernelF::Options options = {})
-      : inner_(options) {}
-
-  std::string name() const override { return inner_.name(); }
-  simd::SimdType isa() const { return inner_.isa(); }
-  std::size_t simd_width() const { return inner_.simd_width(); }
-
-  std::uint64_t list_rebuilds() const override {
-    return inner_.list_rebuilds();
-  }
-  void invalidate_list() override { inner_.invalidate_list(); }
-  double list_bin_seconds() const override {
-    return inner_.list_bin_seconds();
-  }
-  double list_fill_seconds() const override {
-    return inner_.list_fill_seconds();
-  }
-  bool has_list() const override { return inner_.has_list(); }
-  std::vector<emdpa::Vec3d> list_reference_positions() const override {
-    return inner_.list_reference_positions();
-  }
-  double list_build_cutoff() const override {
-    return inner_.list_build_cutoff();
-  }
-  void seed_list(const std::vector<emdpa::Vec3d>& reference, double box_edge,
-                 double cutoff) override {
-    inner_.seed_list(reference, box_edge, cutoff);
-  }
+  /// The float kernel; for the list kernel, the NeighborListControl seam
+  /// md::Simulation checkpoints and reports through.
+  Inner& inner() { return inner_; }
 
   ForceResult compute(const std::vector<emdpa::Vec3<double>>& positions,
                       const PeriodicBox& box, const LjParams& lj,
                       double mass) override {
-    return detail::run_single(inner_, positions_f_, positions, box, lj, mass);
+    positions_f_.resize(positions.size());
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      positions_f_[i] = {static_cast<float>(positions[i].x),
+                         static_cast<float>(positions[i].y),
+                         static_cast<float>(positions[i].z)};
+    }
+    const PeriodicBoxF box_f(static_cast<float>(box.edge()));
+    const ForceResultF inner_result = inner_.compute(
+        positions_f_, box_f, lj.cast<float>(), static_cast<float>(mass));
+
+    ForceResult result;
+    result.accelerations.resize(inner_result.accelerations.size());
+    for (std::size_t i = 0; i < inner_result.accelerations.size(); ++i) {
+      const auto& a = inner_result.accelerations[i];
+      result.accelerations[i] = emdpa::Vec3<double>{a.x, a.y, a.z};
+    }
+    result.potential_energy = inner_result.potential_energy;
+    result.virial = inner_result.virial;
+    result.stats = inner_result.stats;
+    return result;
   }
 
  private:
-  NeighborListKernelF inner_;
+  Inner inner_;
   std::vector<emdpa::Vec3<float>> positions_f_;
 };
+
+using SingleSoaKernel = SingleKernel<SoaKernelF>;
+using SingleNeighborListKernel = SingleKernel<NeighborListKernelF>;
 
 }  // namespace emdpa::md

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
 #include <vector>
+
+#include "core/error.h"
 
 namespace emdpa {
 namespace {
@@ -150,6 +156,47 @@ TEST(ThreadPool, BackToBackShortRunsAreSafe) {
                       });
     ASSERT_EQ(count, 2);
   }
+}
+
+// Address/thread sanitizers reserve terabytes of shadow address space, so an
+// address-space limit cannot be applied under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+TEST(ThreadPool, WorkerStartFailureThrowsInsteadOfTerminating) {
+  if (kSanitized) GTEST_SKIP() << "address-space limit under a sanitizer";
+  // 256 MiB of address space holds far fewer than 199 thread stacks, so a
+  // worker fails to start part way.  The child reports how the constructor
+  // ended; before the fix the joinable workers were destroyed and the child
+  // died in std::terminate.
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const rlimit limit{256u << 20, 256u << 20};
+    if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(2);
+    try {
+      ThreadPool pool(200);
+      _exit(3);  // every worker started: the limit did not bite
+    } catch (const RuntimeFailure&) {
+      _exit(0);
+    } catch (...) {
+      _exit(4);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

@@ -249,16 +249,12 @@ TEST(CliOptions, BisectCommandParsesSideOverrides) {
   EXPECT_EQ(options.command, CliCommand::kBisect);
   EXPECT_EQ(options.run_config.store_dir, "traj");
   EXPECT_EQ(options.run_config.store_every, 8);
-  ASSERT_TRUE(options.bisect_a.kernel.has_value());
-  EXPECT_EQ(*options.bisect_a.kernel, md::HostKernel::kN2);
-  ASSERT_TRUE(options.bisect_b.kernel.has_value());
-  EXPECT_EQ(*options.bisect_b.kernel, md::HostKernel::kList);
-  ASSERT_TRUE(options.bisect_a.precision.has_value());
-  EXPECT_EQ(*options.bisect_a.precision, md::PrecisionMode::kDouble);
-  ASSERT_TRUE(options.bisect_b.precision.has_value());
-  EXPECT_EQ(*options.bisect_b.precision, md::PrecisionMode::kSingle);
-  ASSERT_TRUE(options.bisect_a.simd_isa.has_value());
-  EXPECT_EQ(*options.bisect_a.simd_isa, simd::SimdType::kSse2);
+  EXPECT_EQ(options.bisect_a.config.host_kernel, md::HostKernel::kN2);
+  EXPECT_EQ(options.bisect_b.config.host_kernel, md::HostKernel::kList);
+  EXPECT_EQ(options.bisect_a.config.precision, md::PrecisionMode::kDouble);
+  EXPECT_EQ(options.bisect_b.config.precision, md::PrecisionMode::kSingle);
+  ASSERT_TRUE(options.bisect_a.config.simd_isa.has_value());
+  EXPECT_EQ(*options.bisect_a.config.simd_isa, simd::SimdType::kSse2);
   EXPECT_EQ(options.bisect_a.threads, 1u);
   EXPECT_EQ(options.bisect_b.threads, 3u);
   EXPECT_TRUE(options.bisect_a.faults.empty());

@@ -2,16 +2,14 @@
 // scheduler must each finish bit-for-bit identical to the same job run
 // standalone — the scheduling layer is invisible to the physics.
 //
-// The equivalence reference is a standalone run with the scheduler's
-// checkpoint schedule: every suspend is a CheckpointManager save, and save()
-// is a bitwise synchronisation point (it invalidates the neighbour list), so
-// the standalone mirror saves at the same slice boundaries into a discarded
-// stream.  Proven at 1 and 8 threads over the shared pool, across the
-// SoA-N^2 and neighbour-list kernels, with an uneven final slice.
+// The equivalence reference is a standalone run that never saves: every
+// suspend is a CheckpointManager save, and save() perturbs nothing (it
+// records the live neighbour list, so an evicted job's resume reseeds the
+// identical list).  Proven at 1 and 8 threads over the shared pool, across
+// the SoA-N^2 and neighbour-list kernels, with an uneven final slice.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
 #include <string>
 
 #include "core/thread_pool.h"
@@ -37,16 +35,11 @@ JobSpec batch_job(const std::string& name, std::uint64_t seed,
   return job;
 }
 
-/// The standalone reference: same config, same pool, same slice/save
-/// cadence, no scheduler.
+/// The standalone reference: same config, same pool, no scheduler and no
+/// saves.
 ParticleSystem standalone_final_state(const JobSpec& job, ThreadPool* pool) {
   Simulation sim(simulation_options_from(job.config, pool));
-  while (sim.current_step() < job.config.steps) {
-    const long remaining = job.config.steps - sim.current_step();
-    sim.run(static_cast<int>(std::min<long>(kSlice, remaining)));
-    std::ostringstream sink;
-    sim.save(sink);
-  }
+  sim.run(job.config.steps);
   return sim.system();
 }
 

@@ -3,10 +3,11 @@
 // kept going — across every host kernel and thread count.
 //
 // Two properties make this hold and both are exercised here: save() is a
-// synchronisation point (it invalidates the neighbour list, so the
-// continuing run and the resumed run both rebuild from exactly the saved
-// positions), and v2 checkpoints carry the potential energy so resume
-// trusts the stored accelerations instead of re-priming.
+// pure observer (it records the positions the live neighbour list was built
+// from, so the resumed run reseeds the identical list while the saving run
+// keeps its own), and checkpoints carry the potential energy so resume
+// trusts the stored accelerations instead of re-priming.  A run that saves
+// every 10 steps therefore ends bitwise equal to one that never saves.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -48,9 +49,8 @@ TEST_P(TrajectoryResumeTest, MidpointResumeIsBitIdentical) {
   constexpr int kTotalSteps = 500;
   constexpr int kCheckpointStep = 250;
 
-  // The uninterrupted run still saves at the midpoint: checkpointing is a
-  // synchronisation point, so equivalence is defined against a run with the
-  // same checkpoint schedule.
+  // The uninterrupted run also saves at the midpoint; saving must not
+  // disturb it (SavingEveryTenStepsIsInvisible pins that separately).
   Simulation uninterrupted(options);
   uninterrupted.run(kCheckpointStep);
   std::stringstream checkpoint;
@@ -77,6 +77,39 @@ TEST_P(TrajectoryResumeTest, MidpointResumeIsBitIdentical) {
             uninterrupted.last_energies().kinetic);
   EXPECT_EQ(resumed.last_energies().potential,
             uninterrupted.last_energies().potential);
+}
+
+TEST_P(TrajectoryResumeTest, SavingEveryTenStepsIsInvisible) {
+  const ResumeCase& c = GetParam();
+  ThreadPool pool(4);
+  const Simulation::Options options = melt_options(c, &pool);
+  constexpr int kTotalSteps = 300;
+  constexpr int kSaveEvery = 10;
+
+  Simulation never_saved(options);
+  never_saved.run(kTotalSteps);
+
+  Simulation saved(options);
+  while (saved.current_step() < kTotalSteps) {
+    saved.run(kSaveEvery);
+    std::ostringstream sink;
+    saved.save(sink);
+  }
+
+  for (std::size_t i = 0; i < saved.system().size(); ++i) {
+    EXPECT_EQ(saved.system().positions()[i],
+              never_saved.system().positions()[i])
+        << "position diverged at atom " << i;
+    EXPECT_EQ(saved.system().velocities()[i],
+              never_saved.system().velocities()[i])
+        << "velocity diverged at atom " << i;
+    EXPECT_EQ(saved.system().accelerations()[i],
+              never_saved.system().accelerations()[i])
+        << "acceleration diverged at atom " << i;
+  }
+  EXPECT_EQ(saved.last_energies().potential,
+            never_saved.last_energies().potential);
+  EXPECT_EQ(saved.list_rebuilds(), never_saved.list_rebuilds());
 }
 
 TEST_P(TrajectoryResumeTest, ResumeDoesNotRePrime) {

@@ -37,24 +37,11 @@ int run_one(const driver::CliOptions& options) {
 }
 
 int run_bisect(const driver::CliOptions& options) {
-  driver::BisectOptions bisect;
-  bisect.store_dir = options.run_config.store_dir;
-  const auto make_side = [&](const driver::CliBisectSide& overrides,
-                             const char* label) {
-    driver::BisectSide side;
-    side.config = options.run_config;
-    side.config.store_dir.clear();  // run_bisect derives <store_dir>/<label>
-    if (!side.config.watch.empty()) side.config.watch_stream = &std::cout;
-    if (overrides.kernel) side.config.host_kernel = *overrides.kernel;
-    if (overrides.precision) side.config.precision = *overrides.precision;
-    if (overrides.simd_isa) side.config.simd_isa = overrides.simd_isa;
-    side.threads = overrides.threads != 0 ? overrides.threads : options.threads;
-    side.faults = overrides.faults;
-    side.label = label;
-    return side;
-  };
-  bisect.a = make_side(options.bisect_a, "a");
-  bisect.b = make_side(options.bisect_b, "b");
+  driver::BisectOptions bisect{options.bisect_a, options.bisect_b,
+                               options.run_config.store_dir};
+  for (driver::BisectSide* side : {&bisect.a, &bisect.b}) {
+    if (!side->config.watch.empty()) side->config.watch_stream = &std::cout;
+  }
   const driver::BisectReport report = driver::run_bisect(bisect);
   std::cout << driver::render_bisect_report(report);
   return 0;  // a located divergence is a successful bisection, not an error
