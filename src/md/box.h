@@ -44,6 +44,28 @@ class PeriodicBoxT {
     return dr;
   }
 
+  /// The smallest d >= 0 with fl(d / edge) >= 1/2: where min_image's
+  /// round(d / edge) first leaves zero.  It turns min_image into an exact,
+  /// division-free select — per axis, whenever fl(|d| / edge) < 1.5 (true
+  /// for the difference of two wrapped coordinates),
+  ///   min_image(d) == d - (|d| >= t ? copysign(edge, d) : 0)
+  /// up to the sign of a zero, and |d| < t on every axis means
+  /// min_image(d) == d for any d.  This is min_image_copysign with the
+  /// threshold placed exactly where rounding puts it instead of at half the
+  /// edge, whose ties and rounded quotients can disagree with min_image.
+  /// fl(x / edge) is monotone in x, so the search from edge/2 takes a step
+  /// or two.
+  Real round_half_threshold() const {
+    const Real half = Real(1) / Real(2);
+    Real t = edge_ / Real(2);
+    while (t / edge_ < half) t = std::nextafter(t, edge_);
+    for (Real below = std::nextafter(t, Real(0)); below / edge_ >= half;
+         below = std::nextafter(t, Real(0))) {
+      t = below;
+    }
+    return t;
+  }
+
   /// Minimum-image displacement via a single reflection with an `if` per
   /// axis — the "original" strategy on the SPE (branchy; the SPE has no
   /// branch prediction so this is the slow path of Fig 5).  Requires the raw

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/error.h"
 #include "core/random.h"
 #include "md/box.h"
@@ -124,6 +126,73 @@ TEST(PeriodicBox, MinImagePreservesLengthOrShortens) {
   for (int i = 0; i < 300; ++i) {
     const Vec3d dr{rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5)};
     EXPECT_LE(length_squared(box.min_image(dr)), length_squared(dr) + 1e-12);
+  }
+}
+
+
+/// round_half_threshold is the exact point where min_image's
+/// round(d / edge) leaves zero: fl(t / edge) reaches 1/2, and the next
+/// value down does not.
+template <typename Real>
+void expect_threshold_is_rounding_boundary(Real edge) {
+  const PeriodicBoxT<Real> box(edge);
+  const Real t = box.round_half_threshold();
+  EXPECT_GE(t / edge, Real(0.5)) << edge;
+  EXPECT_LT(std::nextafter(t, Real(0)) / edge, Real(0.5)) << edge;
+}
+
+TEST(PeriodicBox, RoundHalfThresholdIsTheRoundingBoundary) {
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    const double edge = rng.uniform(0.1, 200.0);
+    expect_threshold_is_rounding_boundary<double>(edge);
+    expect_threshold_is_rounding_boundary<float>(static_cast<float>(edge));
+  }
+  for (const double edge : {1.0, 3.0, 7.3, 13.4375, 1e-300, 1e300}) {
+    expect_threshold_is_rounding_boundary<double>(edge);
+  }
+}
+
+/// The neighbour-list fill replaces min_image with the threshold select on
+/// differences of wrapped coordinates.  It must give the same value (up to
+/// the sign of a zero), including on the ±half ties and their neighbours.
+template <typename Real>
+void expect_select_matches_min_image(Real edge, std::uint64_t seed) {
+  const PeriodicBoxT<Real> box(edge);
+  const Real t = box.round_half_threshold();
+  auto select = [&](Real d) {
+    return d - (std::fabs(d) >= t ? std::copysign(edge, d) : Real(0));
+  };
+  auto expect_same = [&](Real d) {
+    const Real want = box.min_image({d, 0, 0}).x;
+    const Real got = select(d);
+    EXPECT_TRUE(got == want) << "edge " << edge << " d " << d << ": " << got
+                             << " vs " << want;
+  };
+  const Real half = edge / Real(2);
+  for (const Real d : {Real(0), half, std::nextafter(half, Real(0)),
+                       std::nextafter(half, edge), t,
+                       std::nextafter(t, Real(0)), edge,
+                       std::nextafter(edge, Real(0))}) {
+    expect_same(d);
+    expect_same(-d);
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 2000; ++i) {
+    const Real a = box.wrap({static_cast<Real>(rng.uniform(-2.0, 2.0) * edge),
+                             0, 0}).x;
+    const Real b = box.wrap({static_cast<Real>(rng.uniform(-2.0, 2.0) * edge),
+                             0, 0}).x;
+    expect_same(a - b);
+  }
+}
+
+TEST(PeriodicBox, ThresholdSelectMatchesMinImageOnWrappedDifferences) {
+  Rng edges(6);
+  for (int k = 0; k < 20; ++k) {
+    const double edge = edges.uniform(0.5, 100.0);
+    expect_select_matches_min_image<double>(edge, 100 + k);
+    expect_select_matches_min_image<float>(static_cast<float>(edge), 200 + k);
   }
 }
 

@@ -280,5 +280,60 @@ TEST(ParallelNeighborList, EnsureRebuildsOnlyWhenStale) {
   EXPECT_EQ(list.rebuilds(), 3u);
 }
 
+
+TEST(ParallelNeighborList, StalenessScanAgreesWithFullMinImageScan) {
+  // needs_rebuild splits its scan over the pool and skips min_image for
+  // displacements below half the edge.  Neither may change the decision:
+  // compare it with the plain serial min_image scan on configurations where
+  // one atom (first, middle or last chunk) moves clearly below or above
+  // skin/2, directly or by whole boxes plus that, with every other atom
+  // shifted by whole boxes (unwrapped inputs take the min_image branch).
+  WorkloadSpec spec;
+  spec.n_atoms = 20000;
+  const Workload w = make_lattice_workload(spec);
+  const double edge = w.box.edge();
+  const double cutoff = LjParams{}.cutoff;
+  const std::vector<Vec3d>& ref = w.system.positions();
+  const double limit_sq = 0.15 * 0.15;
+  auto expected = [&](const std::vector<Vec3d>& positions) {
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      if (length_squared(w.box.min_image(positions[i] - ref[i])) > limit_sq) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  ThreadPool pool(3);
+  ParallelNeighborListT<double> serial(0.3);
+  ParallelNeighborListT<double> pooled(0.3, &pool);
+  serial.build(ref, w.box, cutoff);
+  pooled.build(ref, w.box, cutoff);
+
+  std::size_t configs = 0, stale = 0;
+  for (const std::size_t atom : {std::size_t{0}, ref.size() / 2,
+                                 ref.size() - 1}) {
+    for (const double move : {0.05, 0.1, 0.2, 0.5 * edge - 0.25}) {
+      for (const double boxes : {0.0, 1.0, -3.0}) {
+        std::vector<Vec3d> positions = ref;
+        for (std::size_t i = 0; i < positions.size(); i += 7) {
+          positions[i].z += 2.0 * edge;
+        }
+        positions[atom].x += move + boxes * edge;
+        const bool want = expected(positions);
+        EXPECT_EQ(serial.needs_rebuild(positions, w.box, cutoff), want)
+            << atom << " " << move << " " << boxes;
+        EXPECT_EQ(pooled.needs_rebuild(positions, w.box, cutoff), want)
+            << atom << " " << move << " " << boxes;
+        ++configs;
+        stale += want ? 1 : 0;
+      }
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(stale, 0u);
+  EXPECT_LT(stale, configs);
+}
+
 }  // namespace
 }  // namespace emdpa::md
