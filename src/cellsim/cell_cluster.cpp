@@ -5,7 +5,6 @@
 #include "cellsim/spe_kernel.h"
 #include "core/aligned_buffer.h"
 #include "core/error.h"
-#include "md/observables.h"
 
 namespace emdpa::cell {
 
@@ -46,8 +45,6 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
   const md::PeriodicBoxF box(static_cast<float>(workload.box.edge()));
   const auto lj = run_config.lj.cast<float>();
   const std::size_t n = system.size();
-  const float dt = static_cast<float>(run_config.dt);
-  const float half_dt = 0.5f * dt;
   for (auto& p : system.positions()) p = box.wrap(p);
 
   const int blades = options_.n_blades;
@@ -70,7 +67,8 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
   result.backend_name = name();
   ModelTime t_comm, t_compute, t_overhead;
 
-  auto evaluate = [&]() -> std::pair<float, ModelTime> {
+  md::DeviceModelT<float> model;
+  model.evaluate = [&]() -> std::pair<float, ModelTime> {
     for (std::size_t i = 0; i < n; ++i) {
       host_pos[i] = emdpa::Vec4f(system.positions()[i], 0.0f);
     }
@@ -133,49 +131,22 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
     return {pe, dma_in + slowest_blade + blade_config_.ppe_step_overhead + comm};
   };
 
-  // Prime (untimed).
-  {
-    auto [pe, ignored] = evaluate();
-    (void)ignored;
-    t_comm = t_compute = t_overhead = ModelTime::zero();
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  model.charge_integration = [&] {
+    return ppe_clock.to_time(CycleCount(static_cast<double>(n) *
+                                        kPpeIntegrationOpsPerAtom *
+                                        blade_config_.ppe_cpi));
+  };
+  model.reset = [&] { t_comm = t_compute = t_overhead = ModelTime::zero(); };
+  // Thread launches per blade; the blades launch in parallel.
+  model.launch = blade_config_.thread_launch * static_cast<double>(spes);
+  md::run_device_steps(system, box, run_config, model, result);
 
-  const ModelTime launch = blade_config_.thread_launch *
-                           static_cast<double>(spes);  // per blade, parallel
-  ModelTime total = launch;
-
-  for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time;
-    if (step == 0) step_time += launch;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] =
-          box.wrap(system.positions()[i] + system.velocities()[i] * dt);
-    }
-    step_time += ppe_clock.to_time(CycleCount(
-        static_cast<double>(n) * 43.0 * blade_config_.ppe_cpi));
-
-    auto [pe, accel_time] = evaluate();
-    step_time += accel_time;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-    result.step_times.push_back(step_time);
-    total += step_time - (step == 0 ? launch : ModelTime::zero());
-  }
-
-  result.device_time = total;
+  result.device_time =
+      md::summed_device_time(result.step_times, model.launch, model.launch);
   result.breakdown["interconnect"] = t_comm;
   result.breakdown["compute"] = t_compute;
   result.breakdown["blade_overhead"] = t_overhead;
-  result.breakdown["spe_launch"] = launch;
-  result.final_state = system.cast<double>();
+  result.breakdown["spe_launch"] = model.launch;
   return result;
 }
 

@@ -1,34 +1,13 @@
 #include "cellsim/cell_dp.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "core/aligned_buffer.h"
 #include "core/error.h"
 #include "core/vec4.h"
-#include "md/observables.h"
 #include "md/workload.h"
 
 namespace emdpa::cell {
-
-namespace {
-
-/// Closest periodic image, per axis — identical candidate order to the
-/// single-precision kernels, in double.
-inline double closest_image_dp(double d, double edge) {
-  double best = d;
-  double best_abs = std::fabs(d);
-  for (const double shift : {edge, -edge}) {
-    const double cand = d + shift;
-    const double cand_abs = std::fabs(cand);
-    if (cand_abs < best_abs) {
-      best = cand;
-      best_abs = cand_abs;
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 SpeDpKernelResult run_spe_accel_kernel_dp(const SpeDpKernelParams& params,
                                           const SpeDpCosts& dp_costs,
@@ -78,9 +57,9 @@ SpeDpKernelResult run_spe_accel_kernel_dp(const SpeDpKernelParams& params,
       dp_simd(2);
 
       // SIMD unit-cell search, 2-wide: twice the single-precision op count.
-      const double dx = closest_image_dp(rx, params.box_edge);
-      const double dy = closest_image_dp(ry, params.box_edge);
-      const double dz = closest_image_dp(rz, params.box_edge);
+      const double dx = md::closest_image(rx, params.box_edge);
+      const double dy = md::closest_image(ry, params.box_edge);
+      const double dz = md::closest_image(rz, params.box_edge);
       dp_simd(2 * 7);
       work.shuffle += 8;
 
@@ -140,7 +119,6 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
   md::ParticleSystem& system = workload.system;
   const md::PeriodicBox& box = workload.box;
   const std::size_t n = system.size();
-  const double half_dt = 0.5 * run_config.dt;
 
   for (auto& p : system.positions()) p = box.wrap(p);
 
@@ -181,7 +159,8 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
 
   DmaEngine dma(config_.dma);
 
-  auto evaluate = [&]() -> std::pair<double, ModelTime> {
+  md::DeviceModelT<double> model;
+  model.evaluate = [&]() -> std::pair<double, ModelTime> {
     for (std::size_t i = 0; i < n; ++i) {
       host_pos[i] = emdpa::Vec4d(system.positions()[i], 0.0);
     }
@@ -221,48 +200,20 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
     return {pe, slowest + config_.ppe_step_overhead};
   };
 
-  // Prime (untimed).
-  {
-    auto [pe, ignored] = evaluate();
-    (void)ignored;
-    t_compute = t_dma = ModelTime::zero();
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  model.charge_integration = [&] {
+    return ppe_clock.to_time(CycleCount(static_cast<double>(n) *
+                                        kPpeIntegrationOpsPerAtom *
+                                        config_.ppe_cpi));
+  };
+  model.reset = [&] { t_compute = t_dma = ModelTime::zero(); };
+  model.launch = config_.thread_launch * static_cast<double>(n_spes_);
+  md::run_device_steps(system, box, run_config, model, result);
 
-  const ModelTime launch =
-      config_.thread_launch * static_cast<double>(n_spes_);
-  ModelTime total = launch;
-
-  for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time;
-    if (step == 0) step_time += launch;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] = box.wrap(system.positions()[i] +
-                                       system.velocities()[i] * run_config.dt);
-    }
-    step_time += ppe_clock.to_time(
-        CycleCount(static_cast<double>(n) * 43.0 * config_.ppe_cpi));
-
-    auto [pe, accel_time] = evaluate();
-    step_time += accel_time;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-    result.step_times.push_back(step_time);
-    total += step_time - (step == 0 ? launch : ModelTime::zero());
-  }
-
-  result.device_time = total;
-  result.breakdown["spe_launch"] = launch;
+  result.device_time =
+      md::summed_device_time(result.step_times, model.launch, model.launch);
+  result.breakdown["spe_launch"] = model.launch;
   result.breakdown["spe_compute"] = t_compute;
   result.breakdown["dma"] = t_dma;
-  result.final_state = std::move(system);
   return result;
 }
 

@@ -3,21 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 
 #include "cellsim/ppe_kernel.h"
 #include "core/aligned_buffer.h"
 #include "core/error.h"
 #include "core/thread_pool.h"
-#include "md/observables.h"
 
 namespace emdpa::cell {
 
 namespace {
-
-// PPE-side scalar work per atom for one step's integration phases (two
-// half-kicks, drift, wrap, kinetic energy) plus the pack/unpack of the
-// quadword arrays and the linear PE reduction.
-constexpr double kPpeIntegrationOpsPerAtom = 34 + 8 + 1;
 
 /// One SPE's per-step offload: DMA positions in, run the kernel, DMA its
 /// acceleration slice out.  Returns the modelled busy time of that SPE.
@@ -174,8 +169,6 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
   const md::PeriodicBoxF box(static_cast<float>(workload.box.edge()));
   const auto lj = run_config.lj.cast<float>();
   const std::size_t n = system.size();
-  const float dt = static_cast<float>(run_config.dt);
-  const float half_dt = 0.5f * dt;
 
   for (auto& p : system.positions()) p = box.wrap(p);
 
@@ -241,9 +234,14 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
     }
   };
 
-  // Acceleration evaluation at the current positions; returns total PE and
-  // the modelled time consumed this evaluation.
-  auto evaluate_accelerations = [&](bool first_step) -> std::pair<float, ModelTime> {
+  // Step 2 at the current positions: the PE and the modelled time of this
+  // evaluation.  The untimed prime is the first evaluation; reset clears
+  // first_step after it.
+  bool first_step = true;
+  // t_launch as the first timed step's evaluation left it.
+  std::optional<ModelTime> step0_launch;
+  md::DeviceModelT<float> model;
+  model.evaluate = [&]() -> std::pair<float, ModelTime> {
     ModelTime elapsed;
 
     // Marshal positions (PPE-side, priced within integration ops).
@@ -343,65 +341,39 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
       system.accelerations()[i] = host_acc[i].xyz();
       pe += host_acc[i].w;
     }
+    if (!first_step && !step0_launch) step0_launch = t_launch;
     return {pe, elapsed};
   };
-
-  auto charge_ppe_integration = [&]() {
+  model.charge_integration = [&] {
     const ModelTime t = ppe_clock.to_time(CycleCount(
         static_cast<double>(n) * kPpeIntegrationOpsPerAtom * config_.ppe_cpi));
     t_ppe += t;
     return t;
   };
-
-  // Prime (not part of the timed steps, mirroring the Opteron backend).
-  {
-    auto [pe, ignored] = evaluate_accelerations(/*first_step=*/true);
-    (void)ignored;  // priming is untimed, but persistent threads are now up
-    t_launch = ModelTime::zero();
+  // The paper's Fig-6 accounting includes the one-time launches in the
+  // measured run, so persistent threads re-charge them at the start of the
+  // timed region.
+  if (options_.launch_mode == LaunchMode::kPersistent && !ppe_only) {
+    model.launch = config_.thread_launch * static_cast<double>(options_.n_spes);
+  }
+  // The prime is untimed, but persistent threads are now up.
+  model.reset = [&] {
+    first_step = false;
+    t_launch = model.launch;
     t_compute = ModelTime::zero();
     t_dma = ModelTime::zero();
     t_mailbox = ModelTime::zero();
     t_ppe = ModelTime::zero();
-    if (options_.launch_mode == LaunchMode::kPersistent && !ppe_only) {
-      // The paper's Fig-6 accounting includes the one-time launches in the
-      // measured run, so re-charge them at the start of the timed region.
-      t_launch = config_.thread_launch * static_cast<double>(options_.n_spes);
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  };
+  md::run_device_steps(system, box, run_config, model, result);
 
-  ModelTime total = t_launch;
-
-  for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time;
-    if (step == 0) step_time += t_launch;
-
-    // 1. advance velocities (half kick).
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    // 3/4. move atoms, wrap.
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] =
-          box.wrap(system.positions()[i] + system.velocities()[i] * dt);
-    }
-    step_time += charge_ppe_integration();
-
-    // 2. accelerations on the SPEs (or PPE).
-    auto [pe, accel_time] = evaluate_accelerations(/*first_step=*/false);
-    step_time += accel_time;
-
-    // 1'. second half kick; 5. energies.
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-
-    result.step_times.push_back(step_time);
-    total += step_time - (step == 0 ? t_launch : ModelTime::zero());
-  }
-
-  result.device_time = total;
+  // The timed region starts with the re-charged launches, and step 0 gives
+  // back what t_launch held after its evaluation: the same launches for
+  // persistent threads, and step 0's own launches for respawned ones (which
+  // device_time therefore leaves out, though step_times[0] and the
+  // spe_launch breakdown include them).
+  result.device_time = md::summed_device_time(
+      result.step_times, model.launch, step0_launch.value_or(ModelTime{}));
   result.breakdown["spe_launch"] = t_launch;
   result.breakdown["spe_compute"] = t_compute;
   result.breakdown["dma"] = t_dma;
@@ -411,7 +383,6 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
     result.ops.add("cell.dma_retries", spe->dma().retries());
     result.ops.add("cell.mailbox_retries", spe->signal_retries());
   }
-  result.final_state = system.cast<double>();
   return result;
 }
 

@@ -18,8 +18,15 @@
 
 #include "cellsim/dma.h"
 #include "core/time_model.h"
+#include "md/backend.h"
 
 namespace emdpa::cell {
+
+/// PPE-side scalar work per atom for one step's integration phases (two
+/// half-kicks, drift, wrap, kinetic energy) plus the pack/unpack of the
+/// quadword arrays and the linear PE reduction.
+inline constexpr double kPpeIntegrationOpsPerAtom =
+    md::kIntegrationOpsPerAtom + md::kMarshalOpsPerAtom + md::kPeSumOpsPerAtom;
 
 /// Cycle cost per dynamic operation class on one SPE.
 struct SpeOpCosts {

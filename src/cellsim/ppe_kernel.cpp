@@ -1,38 +1,9 @@
 #include "cellsim/ppe_kernel.h"
 
-#include <cmath>
-
 #include "core/error.h"
+#include "md/backend.h"
 
 namespace emdpa::cell {
-
-namespace {
-
-/// Closest periodic image of one displacement component.  Arithmetic is
-/// identical to the SPE kernels' per-axis search so the PPE-only and SPE
-/// configurations produce bit-identical single-precision physics.
-inline float closest_image(float d, float edge) {
-  float best = d;
-  float best_abs = std::fabs(d);
-  for (const float shift : {edge, -edge}) {
-    const float cand = d + shift;
-    const float cand_abs = std::fabs(cand);
-    if (cand_abs < best_abs) {
-      best = cand;
-      best_abs = cand_abs;
-    }
-  }
-  return best;
-}
-
-// Dynamic op counts of the *unported* code the PPE actually ran: the naive
-// 27-image search (27 x (3 shifted coordinates + 5 for r^2 + 1 compare) =
-// 243 ops) plus direction (3), cutoff compare (1) and loop bookkeeping (4).
-// The restructured per-axis search only appeared in the SPE port.
-constexpr double kPpeOpsPerCandidate = 3 + 243 + 1 + 4;
-constexpr double kPpeOpsPerInteraction = 30;  // LJ force/energy incl. divide
-
-}  // namespace
 
 PpeKernelResult run_ppe_accel_kernel(float box_edge, float cutoff_sq,
                                      float epsilon, float sigma, float inv_mass,
@@ -51,9 +22,9 @@ PpeKernelResult run_ppe_accel_kernel(float box_edge, float cutoff_sq,
     float acc_x = 0, acc_y = 0, acc_z = 0, pe_i = 0;
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
-      const float dx = closest_image(pi.x - positions[j].x, box_edge);
-      const float dy = closest_image(pi.y - positions[j].y, box_edge);
-      const float dz = closest_image(pi.z - positions[j].z, box_edge);
+      const float dx = md::closest_image(pi.x - positions[j].x, box_edge);
+      const float dy = md::closest_image(pi.y - positions[j].y, box_edge);
+      const float dz = md::closest_image(pi.z - positions[j].z, box_edge);
       const float r2 = dx * dx + dy * dy + dz * dz;
       ++result.stats.candidates;
       if (r2 < cutoff_sq) {
@@ -71,9 +42,13 @@ PpeKernelResult run_ppe_accel_kernel(float box_edge, float cutoff_sq,
     accel_out[i] = {acc_x * inv_mass, acc_y * inv_mass, acc_z * inv_mass, pe_i};
   }
 
+  // Dynamic op counts of the *unported* code the PPE actually ran, with its
+  // naive 27-image search; the restructured per-axis search only appeared in
+  // the SPE port.
   result.scalar_ops =
-      kPpeOpsPerCandidate * static_cast<double>(result.stats.candidates) +
-      kPpeOpsPerInteraction * static_cast<double>(result.stats.interacting);
+      md::kSearch27OpsPerCandidate *
+          static_cast<double>(result.stats.candidates) +
+      md::kLjOpsPerInteraction * static_cast<double>(result.stats.interacting);
   return result;
 }
 

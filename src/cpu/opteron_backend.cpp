@@ -1,7 +1,5 @@
 #include "cpu/opteron_backend.h"
 
-#include "md/observables.h"
-
 namespace emdpa::opteron {
 
 OpteronBackend::OpteronBackend(const OpteronConfig& config) : config_(config) {}
@@ -16,56 +14,32 @@ md::RunResult OpteronBackend::run(const md::RunConfig& config) {
   md::RunResult result;
   result.backend_name = name();
 
-  const double half_dt = 0.5 * config.dt;
-
-  // Prime: initial forces (the paper's timed region covers the steps; the
-  // priming force evaluation happens before t=0 in their harness too, so we
-  // time it separately and exclude it from device_time, mirroring how the
-  // paper reports per-run numbers from a warmed start).
-  {
-    auto forces = machine.compute_forces(system.positions(), box, config.lj,
-                                         system.mass());
-    system.accelerations() = std::move(forces.accelerations);
-    result.energies.push_back(
-        {md::kinetic_energy_of(system), forces.potential_energy});
-    machine.reset();
-  }
-
-  for (int s = 0; s < config.steps; ++s) {
-    const ModelTime before = machine.elapsed();
-
-    // 1. advance velocities (half kick).
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    // 3/4. move atoms, wrap positions.
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] =
-          box.wrap(system.positions()[i] + system.velocities()[i] * config.dt);
-    }
+  ModelTime step_start;  // the machine's clock times each step as a whole
+  md::DeviceModelT<double> model;
+  model.charge_integration = [&] {
+    step_start = machine.elapsed();
     machine.charge_integration_step(n);
-
-    // 2. forces (the timed N^2 phase).
+    return ModelTime::zero();
+  };
+  // Step 2, the timed N^2 phase.
+  model.evaluate = [&] {
     auto forces = machine.compute_forces(system.positions(), box, config.lj,
                                          system.mass());
     system.accelerations() = std::move(forces.accelerations);
-
-    // 1'. second half kick; 5. energies.
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back(
-        {md::kinetic_energy_of(system), forces.potential_energy});
-
-    result.step_times.push_back(machine.elapsed() - before);
-  }
+    return std::pair{forces.potential_energy, machine.elapsed() - step_start};
+  };
+  // The paper's timed region covers the steps; the priming force evaluation
+  // happens before t=0 in their harness too, so it is excluded from
+  // device_time, mirroring how the paper reports per-run numbers from a
+  // warmed start.
+  model.reset = [&] { machine.reset(); };
+  md::run_device_steps(system, box, config, model, result);
 
   result.device_time = machine.elapsed();
   result.breakdown["compute"] = machine.elapsed();
   result.ops = machine.ops();
   result.ops.add("opteron.l1_misses", machine.memory().l1_misses());
   result.ops.add("opteron.l2_misses", machine.memory().l2_misses());
-  result.final_state = std::move(system);
   return result;
 }
 

@@ -1,5 +1,7 @@
 #include "cpu/opteron_model.h"
 
+#include "md/backend.h"
+
 namespace emdpa::opteron {
 
 namespace {
@@ -21,10 +23,6 @@ constexpr std::uint64_t acc_addr(std::size_t i) { return kAccBase + i * kVecByte
 //   PE accumulate (1)  =>  19 flops + 1 divide.
 constexpr double kInteractionFlops = 19.0;
 
-// Per-atom flops of the integration phases of one step: two half-kicks
-// (6 + 6), drift (6), wrap (9), kinetic-energy term (7)  =>  34.
-constexpr double kIntegrationFlopsPerAtom = 34.0;
-
 }  // namespace
 
 PairInstructionProfile profile_for(md::MinImageStrategy strategy) {
@@ -38,7 +36,8 @@ PairInstructionProfile profile_for(md::MinImageStrategy strategy) {
     case md::MinImageStrategy::kSearch27:
       // 27 images x (3 shifted coords + 5 for r^2 + 1 compare/select) = 243;
       // the search already yields the best r^2, so no separate dot product.
-      return {.per_candidate = 3 + 243 + 1 + 4, .per_interaction = kInteractionFlops};
+      return {.per_candidate = md::kSearch27OpsPerCandidate,
+              .per_interaction = kInteractionFlops};
     case md::MinImageStrategy::kBranchy:
       // Per axis: |d| vs half-edge compare (2).  Reflection adds are dynamic
       // events (counted by the kernel) as are their branch mispredictions.
@@ -160,7 +159,7 @@ md::ForceResult OpteronMachine::compute_forces(
 }
 
 void OpteronMachine::charge_integration_step(std::size_t n) {
-  charge_flops(static_cast<double>(n) * kIntegrationFlopsPerAtom);
+  charge_flops(static_cast<double>(n) * md::kIntegrationOpsPerAtom);
   for (std::size_t i = 0; i < n; ++i) {
     charge_access(pos_addr(i), kVecBytes);  // read-modify-write positions
     charge_access(vel_addr(i), kVecBytes);  // read-modify-write velocities

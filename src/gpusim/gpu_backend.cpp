@@ -2,7 +2,6 @@
 
 #include "gpusim/md_shader.h"
 #include "gpusim/reduction.h"
-#include "md/observables.h"
 
 namespace emdpa::gpu {
 
@@ -33,8 +32,6 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
   const md::PeriodicBoxF box(static_cast<float>(workload.box.edge()));
   const auto lj = run_config.lj.cast<float>();
   const std::size_t n = system.size();
-  const float dt = static_cast<float>(run_config.dt);
-  const float half_dt = 0.5f * dt;
 
   for (auto& p : system.positions()) p = box.wrap(p);
 
@@ -64,14 +61,9 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
   result.backend_name = name();
   ModelTime t_upload, t_pass, t_readback, t_host, t_reduction;
 
-  auto host_integration_time = [&]() {
-    return host_clock.to_time(CycleCount(static_cast<double>(n) *
-                                         host_.integration_flops_per_atom *
-                                         host_.cpi));
-  };
-
-  // One acceleration evaluation at current positions; returns (PE, time).
-  auto evaluate = [&]() -> std::pair<float, ModelTime> {
+  // Step 2 at the current positions: upload, one shader pass, readback.
+  md::DeviceModelT<float> model;
+  model.evaluate = [&]() -> std::pair<float, ModelTime> {
     ModelTime elapsed;
 
     // Upload positions.
@@ -132,43 +124,19 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
 
     return {pe, elapsed};
   };
-
-  // Prime (untimed, as in the other backends).
-  {
-    auto [pe, ignored] = evaluate();
-    (void)ignored;
+  model.charge_integration = [&] {
+    const ModelTime t = host_clock.to_time(CycleCount(
+        static_cast<double>(n) * host_.integration_flops_per_atom * host_.cpi));
+    t_host += t;
+    return t;
+  };
+  // The prime is untimed, as in the other backends.
+  model.reset = [&] {
     t_upload = t_pass = t_readback = t_host = t_reduction = ModelTime::zero();
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  };
+  md::run_device_steps(system, box, run_config, model, result);
 
-  ModelTime total;
-  for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] =
-          box.wrap(system.positions()[i] + system.velocities()[i] * dt);
-    }
-    const ModelTime t_int = host_integration_time();
-    t_host += t_int;
-    step_time += t_int;
-
-    auto [pe, accel_time] = evaluate();
-    step_time += accel_time;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-
-    result.step_times.push_back(step_time);
-    total += step_time;
-  }
-
-  result.device_time = total;
+  result.device_time = md::summed_device_time(result.step_times);
   result.breakdown["startup"] = startup;  // excluded from device_time (paper)
   result.breakdown["pcie_upload"] = t_upload;
   result.breakdown["gpu_pass"] = t_pass;
@@ -179,7 +147,6 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
   }
   result.ops.add("pcie.bytes_up", pcie.bytes_uploaded());
   result.ops.add("pcie.bytes_down", pcie.bytes_read_back());
-  result.final_state = system.cast<double>();
   return result;
 }
 

@@ -33,8 +33,9 @@ struct GpuRunOptions {
 struct GpuHostCostModel {
   double clock_hz = 2.2e9;
   double cpi = 0.85;
-  double integration_flops_per_atom = 34 + 8;  ///< kicks/drift/wrap + marshal
-  double pe_sum_flops_per_atom = 1;
+  double integration_flops_per_atom =
+      md::kIntegrationOpsPerAtom + md::kMarshalOpsPerAtom;
+  double pe_sum_flops_per_atom = md::kPeSumOpsPerAtom;
 };
 
 class GpuBackend final : public md::MdBackend {

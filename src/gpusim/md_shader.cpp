@@ -1,29 +1,8 @@
 #include "gpusim/md_shader.h"
 
-#include <algorithm>
-#include <cmath>
+#include "md/box.h"
 
 namespace emdpa::gpu {
-
-namespace {
-
-/// Closest periodic image of one displacement component, in the same
-/// select-based form and candidate order as the Cell kernels (so results are
-/// bit-identical across the two device models).
-inline float closest_image(float d, float edge) {
-  float best = d;
-  float best_abs = std::fabs(d);
-  for (const float shift : {edge, -edge}) {
-    const float cand = d + shift;
-    const float cand_abs = std::fabs(cand);
-    const bool closer = cand_abs < best_abs;
-    best = closer ? cand : best;
-    best_abs = closer ? cand_abs : best_abs;
-  }
-  return best;
-}
-
-}  // namespace
 
 MdAccelShader::MdAccelShader(const MdShaderConstants& constants) : c_(constants) {}
 
@@ -40,10 +19,11 @@ emdpa::Vec4f MdAccelShader::execute(ShaderContext& ctx) {
   for (std::uint32_t j = 0; j < c_.n_atoms; ++j) {
     const emdpa::Vec4f pj = ctx.fetch(0, j);  // gather: any input location
 
-    // Direction + minimum image (select form, three axes vectorised).
-    const float dx = closest_image(pi.x - pj.x, c_.box_edge);
-    const float dy = closest_image(pi.y - pj.y, c_.box_edge);
-    const float dz = closest_image(pi.z - pj.z, c_.box_edge);
+    // Direction + minimum image (a select ladder on the GPU, three axes
+    // vectorised).
+    const float dx = md::closest_image(pi.x - pj.x, c_.box_edge);
+    const float dy = md::closest_image(pi.y - pj.y, c_.box_edge);
+    const float dz = md::closest_image(pi.z - pj.z, c_.box_edge);
     ctx.count_vec4(1 + 11);  // subtract + image search (abs/cmp/sel ladder)
 
     const float r2 = dx * dx + dy * dy + dz * dz;

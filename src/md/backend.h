@@ -8,11 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/op_counter.h"
@@ -187,5 +189,71 @@ class HostParallelBackend final : public MdBackend {
   std::string precision() const override { return "double"; }
   RunResult run(const RunConfig& config) override;
 };
+
+// ---- Device models -------------------------------------------------------
+//
+// Each of the paper's ports offloads only step 2 of the Figure-4 kernel (the
+// acceleration computation) and keeps the velocity-Verlet integration on the
+// host.  A device backend therefore supplies only that evaluation and the
+// modelled-time charges around it; run_device_steps drives them through
+// VelocityVerletT, the one place the step is written.
+
+/// What a device model supplies to run_device_steps.
+template <typename Real>
+struct DeviceModelT {
+  /// Step 2 on the device: writes the run's accelerations for its current
+  /// positions and returns the potential energy with the modelled time the
+  /// evaluation took.  A model that keeps one clock of its own reads a step's
+  /// time off it once: evaluate returns the clock's advance since
+  /// charge_integration began, and charge_integration returns zero.
+  std::function<std::pair<Real, ModelTime>()> evaluate;
+  /// Charges the host-side integration phases of one step (both half kicks,
+  /// the drift and wrap, the energy sums) and returns their modelled time.
+  /// Called after the drift, right before that step's evaluate.
+  std::function<ModelTime()> charge_integration;
+  /// Clears what the untimed prime charged; may be empty.
+  std::function<void()> reset;
+  /// One-time cost the first timed step also carries (the Cell's SPE thread
+  /// launches).
+  ModelTime launch;
+};
+
+/// Runs the untimed prime, `model.reset`, then config.steps timed
+/// velocity-Verlet steps of config.dt.  Appends the prime's and every step's
+/// energies to result.energies and each step's modelled time to
+/// result.step_times (the launch on step 0 only, then the integration charge,
+/// then the evaluation, summed in that order), and leaves the final state,
+/// in double precision, in result.final_state.
+template <typename Real>
+void run_device_steps(ParticleSystemT<Real>& system,
+                      const PeriodicBoxT<Real>& box, const RunConfig& config,
+                      const DeviceModelT<Real>& model, RunResult& result);
+
+/// The device time of a model that sums its step times: `launch` (the
+/// one-time cost the timed region starts with), plus each step's time with
+/// `step0_launch` taken back out of step 0's, added in step order.
+ModelTime summed_device_time(const std::vector<ModelTime>& step_times,
+                             ModelTime launch = {}, ModelTime step0_launch = {});
+
+// Operation counts of the paper's original C kernel, counted from its code
+// shape and shared by every timing model that prices it.
+
+/// Per candidate pair of the N^2 loop: direction (3), the 27-image
+/// minimum-image search (27 images x (3 shifted coordinates + 5 for r^2 + 1
+/// compare/select) = 243; it already yields the best r^2, so there is no
+/// separate dot product), cutoff compare (1), loop index and address
+/// arithmetic (4).
+inline constexpr double kSearch27OpsPerCandidate = 3 + 243 + 1 + 4;
+/// Per interacting pair, on top of the candidate cost: the LJ force and
+/// energy, divide included.
+inline constexpr double kLjOpsPerInteraction = 30;
+/// Per atom, the integration phases of one step: two half kicks (6 + 6),
+/// drift (6), wrap (9) and the kinetic-energy term (7).
+inline constexpr double kIntegrationOpsPerAtom = 34;
+/// Per atom, packing positions into and unpacking accelerations from the
+/// quadword arrays a Cell or GPU port exchanges with its device.
+inline constexpr double kMarshalOpsPerAtom = 8;
+/// Per atom, the host's linear sum of the per-atom PE the device returns.
+inline constexpr double kPeSumOpsPerAtom = 1;
 
 }  // namespace emdpa::md

@@ -125,4 +125,24 @@ class PeriodicBoxT {
 using PeriodicBox = PeriodicBoxT<double>;
 using PeriodicBoxF = PeriodicBoxT<float>;
 
+/// Closest periodic image of one displacement component, by the device
+/// kernels' per-axis search: of d, d + edge and d - edge, in that order, the
+/// first with the smallest magnitude.  The Cell PPE, Cell double-precision
+/// and GPU shader kernels share this one definition, and the SPE kernel
+/// searches in the same order, so their results agree bitwise.
+template <typename Real>
+Real closest_image(Real d, Real edge) {
+  Real best = d;
+  Real best_abs = std::fabs(d);
+  for (const Real shift : {edge, -edge}) {
+    const Real cand = d + shift;
+    const Real cand_abs = std::fabs(cand);
+    if (cand_abs < best_abs) {
+      best = cand;
+      best_abs = cand_abs;
+    }
+  }
+  return best;
+}
+
 }  // namespace emdpa::md

@@ -6,7 +6,14 @@
 //   2. calculate forces            (the offloadable N^2 step)
 //   1'. advance velocities         (second half kick with new accelerations)
 //   5. calculate new kinetic and total energies
+//
+// This is the only place the step is written.  Host runs hand it a
+// ForceKernelT; device models (through run_device_steps, md/backend.h) hand
+// it their own step-2 evaluation, as the paper's ports offload only step 2
+// and keep the integration on the host.
 #pragma once
+
+#include <functional>
 
 #include "md/force_kernel.h"
 #include "md/particle_system.h"
@@ -22,6 +29,11 @@ struct StepEnergiesT {
 
 using StepEnergies = StepEnergiesT<double>;
 
+/// Step 2 of the kernel: writes the system's accelerations for its current
+/// positions and returns the potential energy.
+template <typename Real>
+using ForceEvaluationT = std::function<Real(ParticleSystemT<Real>&)>;
+
 template <typename Real>
 class VelocityVerletT {
  public:
@@ -29,17 +41,24 @@ class VelocityVerletT {
 
   Real dt() const { return dt_; }
 
-  /// Advance the system one step using `kernel` for the force evaluation.
-  /// The system's accelerations must be current for its positions (call
-  /// prime() once before the first step).
+  /// Advance the system one step, calling `evaluate` for step 2.  The
+  /// system's accelerations must be current for its positions (call prime()
+  /// once before the first step).
   StepEnergiesT<Real> step(ParticleSystemT<Real>& system,
                            const PeriodicBoxT<Real>& box,
-                           const LjParamsT<Real>& lj,
-                           ForceKernelT<Real>& kernel) const;
+                           const ForceEvaluationT<Real>& evaluate) const;
 
   /// Compute initial accelerations (and return initial energies) so that the
   /// first step's leading half-kick uses forces consistent with the initial
   /// positions.
+  StepEnergiesT<Real> prime(ParticleSystemT<Real>& system,
+                            const ForceEvaluationT<Real>& evaluate) const;
+
+  /// The same two calls with `kernel` as the force evaluation.
+  StepEnergiesT<Real> step(ParticleSystemT<Real>& system,
+                           const PeriodicBoxT<Real>& box,
+                           const LjParamsT<Real>& lj,
+                           ForceKernelT<Real>& kernel) const;
   StepEnergiesT<Real> prime(ParticleSystemT<Real>& system,
                             const PeriodicBoxT<Real>& box,
                             const LjParamsT<Real>& lj,

@@ -2,25 +2,10 @@
 
 #include "core/error.h"
 #include "core/thread_pool.h"
-#include "md/observables.h"
 #include "md/reference_kernel.h"
 #include "mtasim/full_empty.h"
 
 namespace emdpa::mta {
-
-namespace {
-
-// Instruction profile of the original double-precision C code, which the
-// MTA port compiles unchanged (only the reduction/pragma differ between the
-// two flavours).  Same code shape as the Opteron reference: 27-image
-// minimum-image search per candidate pair.  The arithmetic below is
-// evaluated with the equivalent single-reflection form (identical results);
-// the counts price the code as written.
-constexpr double kOpsPerCandidate = 3 + 243 + 1 + 4;
-constexpr double kOpsPerInteraction = 30;  // LJ force/energy incl. divide
-constexpr double kIntegrationOpsPerAtom = 34;
-
-}  // namespace
 
 const char* to_string(ThreadingMode m) {
   switch (m) {
@@ -53,7 +38,6 @@ md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
   md::ParticleSystem& system = workload.system;
   const md::PeriodicBox& box = workload.box;
   const std::size_t n = system.size();
-  const double half_dt = 0.5 * run_config.dt;
 
   StreamMachine machine(config_);
   md::RunResult result;
@@ -67,9 +51,18 @@ md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
 
   ModelTime t_force, t_other;
 
-  // One force evaluation: real physics + instruction charging per the
-  // compiler's parallelisation decision.  Returns total PE.
-  auto evaluate = [&]() -> double {
+  ModelTime step_start;  // the machine's clock times each step as a whole
+  md::DeviceModelT<double> model;
+  // Integration loops: parallelised automatically in both flavours.
+  model.charge_integration = [&] {
+    step_start = machine.elapsed();
+    t_other += machine.charge_parallel(
+        static_cast<double>(n) * md::kIntegrationOpsPerAtom, n);
+    return ModelTime::zero();
+  };
+  // Step 2: real physics + instruction charging per the compiler's
+  // parallelisation decision.
+  model.evaluate = [&] {
     // When the compiler parallelises the loop, the modelled streams run for
     // real: atom rows execute concurrently on the host pool.  The per-row
     // accumulation + ordered reduction inside ReferenceKernelT keeps the
@@ -81,12 +74,17 @@ md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
     auto forces = kernel.compute(system.positions(), box, run_config.lj,
                                  system.mass());
 
+    // The MTA port compiles the original double-precision C code unchanged
+    // (only the reduction/pragma differ between the two flavours), so the
+    // charge uses that code's 27-image-search profile, though the arithmetic
+    // above runs the equivalent single-reflection form (identical results).
     // PairStats are unordered pairs; the modelled MTA loop ("for each atom,
     // all j != i") really executes each pair from both ends, so the
     // instruction charge prices the directed visit count.
     const double instructions =
-        2.0 * (kOpsPerCandidate * static_cast<double>(forces.stats.candidates) +
-               kOpsPerInteraction *
+        2.0 * (md::kSearch27OpsPerCandidate *
+                   static_cast<double>(forces.stats.candidates) +
+               md::kLjOpsPerInteraction *
                    static_cast<double>(forces.stats.interacting));
 
     if (decision.parallel) {
@@ -108,48 +106,18 @@ md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
     system.accelerations() = std::move(forces.accelerations);
     result.ops.add("mta.pair_candidates", forces.stats.candidates);
     result.ops.add("mta.pair_interactions", forces.stats.interacting);
-    return forces.potential_energy;
+    return std::pair{forces.potential_energy, machine.elapsed() - step_start};
   };
-
-  // Prime (untimed).
-  {
-    const double pe = evaluate();
+  model.reset = [&] {
     machine.reset();
     t_force = t_other = ModelTime::zero();
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  };
+  md::run_device_steps(system, box, run_config, model, result);
 
-  ModelTime total;
-  for (int step = 0; step < run_config.steps; ++step) {
-    const ModelTime before = machine.elapsed();
-
-    // Integration loops: parallelised automatically in both flavours.
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] =
-          box.wrap(system.positions()[i] + system.velocities()[i] * run_config.dt);
-    }
-    t_other += machine.charge_parallel(
-        static_cast<double>(n) * kIntegrationOpsPerAtom, n);
-
-    const double pe = evaluate();
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-
-    result.step_times.push_back(machine.elapsed() - before);
-    total = machine.elapsed();
-  }
-
-  result.device_time = total;
+  result.device_time = machine.elapsed();
   result.breakdown["force_loop"] = t_force;
   result.breakdown["other_loops"] = t_other;
   result.ops.merge(machine.ops());
-  result.final_state = std::move(system);
   return result;
 }
 

@@ -1,25 +1,24 @@
 #include "mtasim/mta_pairlist.h"
 
+#include "md/backend.h"
+
 namespace emdpa::mta {
 
 namespace {
-
-// Same code shape the MTA/XMT backends charge for the on-the-fly kernel.
-constexpr double kN2OpsPerCandidate = 3 + 243 + 1 + 4;
-constexpr double kN2OpsPerInteraction = 30;
 
 constexpr double kPairlistOpsPerEntry = 27;   // see mta_pairlist.h
 constexpr double kBuildOpsPerTest = 31;
 constexpr double kBinOpsPerAtom = 12;
 
 double n2_instructions(const md::PairlistStepWork& work) {
-  return kN2OpsPerCandidate * work.candidates_directed +
-         kN2OpsPerInteraction * work.interacting_directed;
+  // The code shape the MTA/XMT backends charge for the on-the-fly kernel.
+  return md::kSearch27OpsPerCandidate * work.candidates_directed +
+         md::kLjOpsPerInteraction * work.interacting_directed;
 }
 
 double pairlist_instructions(const md::PairlistStepWork& work) {
   return kPairlistOpsPerEntry * work.list_entries_directed +
-         kN2OpsPerInteraction * work.interacting_directed +
+         md::kLjOpsPerInteraction * work.interacting_directed +
          (kBuildOpsPerTest * work.build_tests_directed +
           kBinOpsPerAtom * static_cast<double>(work.n_atoms)) /
              work.rebuild_period_steps;
