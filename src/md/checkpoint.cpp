@@ -48,12 +48,25 @@ Checkpoint parse_body(std::istream& in, std::size_t body_bytes, int version) {
                          std::to_string(remaining) + " bytes can hold");
   }
 
+  // A zero or negative mass or box edge is malformed input too: reject it
+  // typed here, before set_mass or a PeriodicBox turns it into a contract
+  // violation that no caller recovers from.
+  const double mass = hexio::parse_double(mass_tok, "mass");
+  if (!(mass > 0.0)) {
+    throw RuntimeFailure("checkpoint: mass must be positive, got '" +
+                         mass_tok + "'");
+  }
+  const double box_edge = hexio::parse_double(box_tok, "box edge");
+  if (!(box_edge > 0.0)) {
+    throw RuntimeFailure("checkpoint: box edge must be positive, got '" +
+                         box_tok + "'");
+  }
+
   Checkpoint cp;
   cp.system = ParticleSystem(n);
-  cp.system.set_mass(hexio::parse_double(mass_tok, "mass"));
-  cp.box_edge = hexio::parse_double(box_tok, "box edge");
+  cp.system.set_mass(mass);
+  cp.box_edge = box_edge;
   cp.step = step;
-  EMDPA_REQUIRE(cp.box_edge > 0.0, "checkpoint box edge must be positive");
 
   if (version >= 2) {
     std::string kw_pe, pe_tok;

@@ -4,16 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <string>
 
 #include "core/error.h"
 #include "core/fault_injection.h"
-#include "md/list_build_util.h"
 
 namespace emdpa::md {
-
-using listutil::padded_count;
-using listutil::seconds_since;
 
 const char* to_string(SkinPolicy policy) {
   switch (policy) {
@@ -24,33 +21,238 @@ const char* to_string(SkinPolicy policy) {
 }
 
 // ---------------------------------------------------------------------------
+// Build passes.  Everything here is part of the determinism contract: the
+// padding unit and the chunk decomposition of the counting sort fix the bytes
+// of the CSR, which must not depend on the thread count.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// How every pass splits [0, n): over `pool` in chunks of `grain`, or on the
+/// caller when there is no pool.
+void run_span(ThreadPool* pool, std::size_t n, std::size_t grain,
+              const std::function<void(std::size_t, std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(0, n, grain, body);
+  } else {
+    body(0, n);
+  }
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Round `count` up to a whole number of 64-byte accumulation blocks — the
+/// ISA-independent padding unit (see parallel_neighbor.h).
+template <typename Real>
+constexpr std::uint32_t padded_count(std::uint32_t count) {
+  constexpr auto w = static_cast<std::uint32_t>(simd::block_lanes<Real>());
+  return (count + w - 1) / w * w;
+}
+
+/// Atoms per histogram chunk in the parallel counting sort.  The chunk
+/// decomposition is a function of N ONLY — never the thread count — because
+/// the scatter pass routes each chunk's atoms through per-chunk cursors and
+/// the resulting stable order must not depend on how many workers ran.  The
+/// cap bounds the bin_hist footprint (chunks * cells) for huge systems.
+constexpr std::size_t kBinChunkAtoms = 2048;
+constexpr std::size_t kMaxBinChunks = 256;
+
+std::size_t bin_chunk_size(std::size_t n) {
+  std::size_t chunk = kBinChunkAtoms;
+  while ((n + chunk - 1) / chunk > kMaxBinChunks) chunk *= 2;
+  return chunk;
+}
+
+/// Clamp one wrapped coordinate to its axis cell.  The clamp guards the
+/// exact-edge case (coord * inv_cell landing on `cells` after rounding).
+std::size_t axis_cell(double coord, double inv_cell, std::size_t cells) {
+  auto c = static_cast<long long>(coord * inv_cell);
+  if (c < 0) c = 0;
+  if (c >= static_cast<long long>(cells)) {
+    c = static_cast<long long>(cells) - 1;
+  }
+  return static_cast<std::size_t>(c);
+}
+
+/// Cell id of a wrapped position.
+template <typename Real>
+std::size_t cell_index(const emdpa::Vec3<Real>& p, double inv_cell,
+                       std::size_t cells) {
+  return (axis_cell(static_cast<double>(p.x), inv_cell, cells) * cells +
+          axis_cell(static_cast<double>(p.y), inv_cell, cells)) *
+             cells +
+         axis_cell(static_cast<double>(p.z), inv_cell, cells);
+}
+
+/// Pool-parallel stable counting sort of the atoms into cells, in three
+/// passes over fixed atom chunks:
+///  1. wrap each position and count it into its chunk's cell histogram (each
+///     chunk owns a disjoint row of bin_hist, so chunks are independent);
+///  2. prefix-merge the per-chunk histograms into write cursors;
+///  3. scatter.  Within a chunk atoms are visited in index order and chunk
+///     cursors are ordered by chunk id, so cell_atoms is the stable counting
+///     sort by cell — the unique order a serial sort would produce,
+///     independent of thread count and chunk execution order.  The scatter
+///     wraps and bins each atom again (same bits as pass 1, so no per-atom
+///     cell array is kept) and also writes its wrapped coordinates into
+///     sorted_x/y/z at its sorted slot, so every cell is a contiguous span of
+///     coordinates.
+template <typename Real>
+void sort_into_cells(ThreadPool* pool,
+                     const std::vector<emdpa::Vec3<Real>>& positions,
+                     const PeriodicBoxT<Real>& box, std::size_t cells,
+                     double inv_cell, std::vector<std::uint32_t>& bin_hist,
+                     std::vector<std::uint32_t>& cell_start,
+                     std::vector<std::uint32_t>& cell_atoms,
+                     std::vector<Real>& sorted_x, std::vector<Real>& sorted_y,
+                     std::vector<Real>& sorted_z) {
+  const std::size_t n = positions.size();
+  const std::size_t n_cells = cells * cells * cells;
+  const std::size_t chunk = bin_chunk_size(n);
+  const std::size_t n_chunks = (n + chunk - 1) / chunk;
+
+  bin_hist.assign(n_chunks * n_cells, 0);
+  run_span(pool, n_chunks, 1, [&](std::size_t k_begin, std::size_t k_end) {
+    for (std::size_t k = k_begin; k < k_end; ++k) {
+      std::uint32_t* hist = bin_hist.data() + k * n_cells;
+      const std::size_t i_end = std::min(n, (k + 1) * chunk);
+      for (std::size_t i = k * chunk; i < i_end; ++i) {
+        ++hist[cell_index(box.wrap(positions[i]), inv_cell, cells)];
+      }
+    }
+  });
+
+  cell_start.assign(n_cells + 1, 0);
+  run_span(pool, n_cells, 4096, [&](std::size_t c_begin, std::size_t c_end) {
+    for (std::size_t c = c_begin; c < c_end; ++c) {
+      std::uint32_t total = 0;
+      for (std::size_t k = 0; k < n_chunks; ++k) {
+        total += bin_hist[k * n_cells + c];
+      }
+      cell_start[c + 1] = total;
+    }
+  });
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    cell_start[c + 1] += cell_start[c];
+  }
+  run_span(pool, n_cells, 4096, [&](std::size_t c_begin, std::size_t c_end) {
+    for (std::size_t c = c_begin; c < c_end; ++c) {
+      std::uint32_t cursor = cell_start[c];
+      for (std::size_t k = 0; k < n_chunks; ++k) {
+        std::uint32_t& h = bin_hist[k * n_cells + c];
+        const std::uint32_t count = h;
+        h = cursor;
+        cursor += count;
+      }
+    }
+  });
+
+  cell_atoms.resize(n);
+  sorted_x.resize(n);
+  sorted_y.resize(n);
+  sorted_z.resize(n);
+  run_span(pool, n_chunks, 1, [&](std::size_t k_begin, std::size_t k_end) {
+    for (std::size_t k = k_begin; k < k_end; ++k) {
+      std::uint32_t* cursor = bin_hist.data() + k * n_cells;
+      const std::size_t i_end = std::min(n, (k + 1) * chunk);
+      for (std::size_t i = k * chunk; i < i_end; ++i) {
+        const emdpa::Vec3<Real> p = box.wrap(positions[i]);
+        const std::uint32_t slot = cursor[cell_index(p, inv_cell, cells)]++;
+        cell_atoms[slot] = static_cast<std::uint32_t>(i);
+        sorted_x[slot] = p.x;
+        sorted_y[slot] = p.y;
+        sorted_z[slot] = p.z;
+      }
+    }
+  });
+}
+
+/// Per-axis wrapped stencil indices: row a lists the `width` cell indices
+/// covering [a-range, a+range] on one axis.  Precomputing them keeps the
+/// modulo arithmetic out of the sweep's inner loops.
+void fill_stencil_axis(std::size_t cells, std::size_t range,
+                       std::vector<std::uint32_t>& stencil_axis) {
+  const std::size_t width = 2 * range + 1;
+  stencil_axis.resize(cells * width);
+  for (std::size_t a = 0; a < cells; ++a) {
+    for (std::size_t k = 0; k < width; ++k) {
+      stencil_axis[a * width + k] =
+          static_cast<std::uint32_t>((a + k + cells - range) % cells);
+    }
+  }
+}
+
+/// Stencil population per cell, computed separably: one 1-D wrap-around
+/// sliding-window pass per axis (add the entering cell, drop the leaving
+/// one) — O(cells) per line instead of O(cells * width).  Valid because
+/// width <= cells (a box below the stencil width is built on one cell), so
+/// the window never visits a cell twice.  Three passes flip between the two
+/// buffers and land in stencil_pop:
+///   populations (tmp) --z--> pop --y--> tmp --x--> pop.
+void populate_stencil(ThreadPool* pool, std::size_t cells, std::size_t range,
+                      const std::vector<std::uint32_t>& cell_start,
+                      std::vector<std::uint32_t>& stencil_pop,
+                      std::vector<std::uint32_t>& stencil_tmp) {
+  const std::size_t n_cells = cells * cells * cells;
+  const std::size_t n_lines = cells * cells;
+  const std::size_t width = 2 * range + 1;
+  stencil_pop.resize(n_cells);
+  stencil_tmp.resize(n_cells);
+
+  // A line costs `cells` adds, so chunks of about 4096 cells like the other
+  // per-cell passes: a small grid's pass stays on the caller instead of
+  // paying a fork/join for microseconds of work.
+  const std::size_t line_grain = std::max<std::size_t>(16, 4096 / cells);
+  auto window_pass = [&](const std::uint32_t* in, std::uint32_t* out,
+                         std::size_t stride,
+                         const std::function<std::size_t(std::size_t)>& base) {
+    run_span(pool, n_lines, line_grain,
+             [&](std::size_t l_begin, std::size_t l_end) {
+      for (std::size_t l = l_begin; l < l_end; ++l) {
+        const std::size_t b = base(l);
+        std::uint32_t window = 0;
+        for (std::size_t k = 0; k < width; ++k) {
+          window += in[b + ((k + cells - range) % cells) * stride];
+        }
+        out[b] = window;
+        for (std::size_t a = 1; a < cells; ++a) {
+          window += in[b + ((a + range) % cells) * stride];
+          window -= in[b + ((a + cells - range - 1) % cells) * stride];
+          out[b + a * stride] = window;
+        }
+      }
+    });
+  };
+
+  run_span(pool, n_cells, 4096, [&](std::size_t c_begin, std::size_t c_end) {
+    for (std::size_t c = c_begin; c < c_end; ++c) {
+      stencil_tmp[c] = cell_start[c + 1] - cell_start[c];
+    }
+  });
+  window_pass(stencil_tmp.data(), stencil_pop.data(), 1,
+              [&](std::size_t l) { return l * cells; });  // lines over (x, y)
+  window_pass(stencil_pop.data(), stencil_tmp.data(), cells,
+              [&](std::size_t l) {  // lines over (x, z)
+                return (l / cells) * n_lines + (l % cells);
+              });
+  window_pass(stencil_tmp.data(), stencil_pop.data(), n_lines,
+              [&](std::size_t l) { return l; });  // lines over (y, z)
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // ParallelNeighborListT
 // ---------------------------------------------------------------------------
 
 template <typename Real>
 ParallelNeighborListT<Real>::ParallelNeighborListT(Real skin, ThreadPool* pool,
-                                                   std::size_t grain,
                                                    SkinPolicy policy)
-    : skin_(skin), pool_(pool), grain_(grain), policy_(policy) {
+    : skin_(skin), pool_(pool), policy_(policy) {
   EMDPA_REQUIRE(skin >= Real(0), "skin must be non-negative");
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::run_rows(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body) const {
-  run_span(n, grain_, body);
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::run_span(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) const {
-  if (pool_ != nullptr) {
-    pool_->parallel_for(0, n, grain, body);
-  } else {
-    body(0, n);
-  }
 }
 
 template <typename Real>
@@ -71,8 +273,8 @@ bool ParallelNeighborListT<Real>::needs_rebuild(
   const Real limit_sq = (skin_ / Real(2)) * (skin_ / Real(2));
   const Real half = box.round_half_threshold();
   std::atomic<bool> stale{false};
-  run_span(positions.size(), kScanGrain, [&](std::size_t i_begin,
-                                             std::size_t i_end) {
+  run_span(pool_, positions.size(), kScanGrain, [&](std::size_t i_begin,
+                                                    std::size_t i_end) {
     if (stale.load(std::memory_order_relaxed)) return;
     for (std::size_t i = i_begin; i < i_end; ++i) {
       auto dr = positions[i] - build_positions_[i];
@@ -96,54 +298,6 @@ bool ParallelNeighborListT<Real>::ensure(
   if (!needs_rebuild(positions, box, cutoff)) return false;
   build(positions, box, cutoff);
   return true;
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::build_all_pairs(
-    const std::vector<emdpa::Vec3<Real>>& positions,
-    const PeriodicBoxT<Real>& box) {
-  std::vector<emdpa::Vec3<Real>> wrapped(positions.size());
-  run_rows(positions.size(), [&](std::size_t i_begin, std::size_t i_end) {
-    for (std::size_t i = i_begin; i < i_end; ++i) {
-      wrapped[i] = box.wrap(positions[i]);
-    }
-  });
-  listutil::build_all_pairs_csr<Real>(
-      wrapped, box, list_cutoff_sq_,
-      [this](std::size_t n,
-             const std::function<void(std::size_t, std::size_t)>& body) {
-        run_rows(n, body);
-      },
-      row_begin_, entries_, row_count_, directed_entries_,
-      build_distance_tests_);
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::bin_atoms(
-    const std::vector<emdpa::Vec3<Real>>& positions,
-    const PeriodicBoxT<Real>& box, std::size_t cells, std::size_t n_cells,
-    double inv_cell) {
-  // The three passes of the stable counting sort live in list_build_util.h.
-  auto run = [this](std::size_t count, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body) {
-    run_span(count, grain, body);
-  };
-  listutil::bin_pass_histogram(positions, box, cells, n_cells, inv_cell, run,
-                               bin_hist_);
-  listutil::bin_merge_scatter(positions, box, cells, n_cells, inv_cell, run,
-                              bin_hist_, cell_start_, cell_atoms_, sorted_x_,
-                              sorted_y_, sorted_z_);
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::populate_stencil(std::size_t cells,
-                                                   std::size_t range) {
-  auto run = [this](std::size_t count, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body) {
-    run_span(count, grain, body);
-  };
-  listutil::populate_stencil(cells, range, run, cell_start_, stencil_pop_,
-                             stencil_tmp_);
 }
 
 template <typename Real>
@@ -184,23 +338,18 @@ void ParallelNeighborListT<Real>::build(
   auto cells_ll =
       static_cast<long long>(edge / (static_cast<double>(list_cutoff) * 0.5));
   if (cells_ll < 1) cells_ll = 1;
-  const auto cells = static_cast<std::size_t>(cells_ll);
+  auto cells = static_cast<std::size_t>(cells_ll);
   const double cell_edge = edge / static_cast<double>(cells);
-  const auto range = static_cast<std::size_t>(
+  auto range = static_cast<std::size_t>(
       std::ceil(static_cast<double>(list_cutoff) / cell_edge));
-  const std::size_t width = 2 * range + 1;
-  if (width > cells) {
-    // Box too small for a proper stencil (wrap-around would visit a cell
-    // twice and duplicate entries): O(N^2) build instead.  All of it counts
-    // as fill — there is no binning phase to speak of.
-    last_bin_seconds_ = seconds_since(t_start);
-    bin_seconds_total_ += last_bin_seconds_;
-    const auto t_fill = std::chrono::steady_clock::now();
-    build_all_pairs(positions, box);
-    last_fill_seconds_ = seconds_since(t_fill);
-    fill_seconds_total_ += last_fill_seconds_;
-    return;
+  if (2 * range + 1 > cells) {
+    // Box below the stencil width (wrap-around would visit a cell twice and
+    // duplicate entries): build on ONE cell instead, so every atom tests
+    // every other atom, in index order, through the same sweep.
+    cells = 1;
+    range = 0;
   }
+  const std::size_t width = 2 * range + 1;
 
   // Pool-parallel stable counting sort into cells (wrap + per-chunk
   // histograms, prefix-merge, scatter into cell-sorted x/y/z).  Atoms stay
@@ -208,17 +357,19 @@ void ParallelNeighborListT<Real>::build(
   // the list) independent of thread count.
   const double inv_cell = static_cast<double>(cells) / edge;
   const std::size_t n_cells = cells * cells * cells;
-  bin_atoms(positions, box, cells, n_cells, inv_cell);
+  sort_into_cells(pool_, positions, box, cells, inv_cell, bin_hist_,
+                  cell_start_, cell_atoms_, sorted_x_, sorted_y_, sorted_z_);
 
   // Per-axis wrapped stencil indices.
-  listutil::fill_stencil_axis(cells, range, stencil_axis_);
+  fill_stencil_axis(cells, range, stencil_axis_);
 
   // Stencil population per cell.  Every atom in a cell sweeps exactly the
   // atoms of that cell's stencil (minus itself), so this is the EXACT
   // per-row distance-test count — which lets the single sweep below write
   // hits straight into disjoint scratch ranges with no counting pass.
   // Computed separably: one 1-D wrap-around window pass per axis.
-  populate_stencil(cells, range);
+  populate_stencil(pool_, cells, range, cell_start_, stencil_pop_,
+                   stencil_tmp_);
 
   // Exact scratch row offsets, laid out in slot order so the sweep writes
   // its rows front to back (serial prefix — deterministic, so the layout is
@@ -264,7 +415,8 @@ void ParallelNeighborListT<Real>::build(
   std::uint32_t* scratch = scratch_entries_.data();
   row_count_.resize(n);
   EMDPA_ENSURE(width <= kMaxStencilWidth, "list stencil wider than 7 cells");
-  run_span(n_cells, kCellGrain, [&](std::size_t c_begin, std::size_t c_end) {
+  run_span(pool_, n_cells, kCellGrain, [&](std::size_t c_begin,
+                                           std::size_t c_end) {
     // [begin, end) slot ranges of one cell's stencil: up to two z-runs per
     // (px, py) column.
     std::uint32_t spans[4 * kMaxStencilWidth * kMaxStencilWidth];
@@ -324,7 +476,8 @@ void ParallelNeighborListT<Real>::build(
   // Compaction: copy each scratch row into its padded slot range.  Pure
   // data movement, no distance math.
   entries_.resize(row_begin_[n]);
-  run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
+  run_span(pool_, n, kRowGrain, [&](std::size_t i_begin,
+                                    std::size_t i_end) {
     for (std::size_t i = i_begin; i < i_end; ++i) {
       const std::uint32_t* src = scratch_entries_.data() + scratch_begin_[i];
       std::uint32_t slot = row_begin_[i];

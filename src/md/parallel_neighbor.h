@@ -22,6 +22,10 @@
 //    its cell's stencil, computed by three separable 1-D wrap-around window
 //    passes, O(cells^3) instead of O(cells^3 * width^3)), a SINGLE
 //    pool-parallel sweep writes hits straight into disjoint scratch ranges.
+//    A box narrower than the stencil (2*range + 1 > cells, where wrap-around
+//    would visit a cell twice) is built on a one-cell grid with range 0:
+//    every atom then tests every other atom, in index order, through the
+//    same sweep, so one builder serves every box size.
 //    The sweep walks rows cell by cell, so a cell's rows share one stencil
 //    whose z-runs are one or two contiguous slot ranges, and tests each
 //    candidate with an exact, division-free minimum image (a threshold
@@ -126,7 +130,7 @@ class ParallelNeighborListT {
   /// `skin`: extra shell radius beyond the cutoff; `pool`: nullptr builds
   /// serially on the caller.
   explicit ParallelNeighborListT(
-      Real skin, ThreadPool* pool = nullptr, std::size_t grain = 64,
+      Real skin, ThreadPool* pool = nullptr,
       SkinPolicy policy = SkinPolicy::kHalfSkinDisplacement);
 
   Real skin() const { return skin_; }
@@ -199,29 +203,20 @@ class ParallelNeighborListT {
 
  private:
   /// Rows of the fill sweep go out in chunks of this many cells (about 90
-  /// atoms at liquid density); the staleness scan in chunks of this many
-  /// atoms, so a 2k-atom scan stays on the caller.
+  /// atoms at liquid density), rows of the compaction in chunks of
+  /// kRowGrain atoms, and the staleness scan in chunks of kScanGrain atoms,
+  /// so a 2k-atom scan stays on the caller.
   static constexpr std::size_t kCellGrain = 32;
+  static constexpr std::size_t kRowGrain = 64;
   static constexpr std::size_t kScanGrain = 8192;
   /// Cells at least half the list radius wide (up to rounding) give
-  /// range <= 3 outside the all-pairs fallback, so a cell's stencil spans
-  /// fit a fixed array on the fill's stack.
+  /// range <= 3, and a box below the stencil width is one cell with
+  /// range 0, so a cell's stencil spans fit a fixed array on the fill's
+  /// stack.
   static constexpr std::size_t kMaxStencilWidth = 7;
-
-  void build_all_pairs(const std::vector<emdpa::Vec3<Real>>& positions,
-                       const PeriodicBoxT<Real>& box);
-  void run_rows(std::size_t n,
-                const std::function<void(std::size_t, std::size_t)>& body) const;
-  void run_span(std::size_t n, std::size_t grain,
-                const std::function<void(std::size_t, std::size_t)>& body) const;
-  void bin_atoms(const std::vector<emdpa::Vec3<Real>>& positions,
-                 const PeriodicBoxT<Real>& box, std::size_t cells,
-                 std::size_t n_cells, double inv_cell);
-  void populate_stencil(std::size_t cells, std::size_t range);
 
   Real skin_;
   ThreadPool* pool_;
-  std::size_t grain_;
   SkinPolicy policy_;
 
   Real build_cutoff_ = Real(-1);   ///< lj cutoff the list was built for
@@ -279,7 +274,7 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
 
   explicit NeighborListKernelT(Options options = {})
       : list_(static_cast<Real>(options.skin), options.pool,
-              options.grain < 64 ? 64 : options.grain, options.skin_policy),
+              options.skin_policy),
         pool_(options.pool),
         grain_(options.grain),
         isa_(simd_kernels::resolve_isa(options.isa)) {

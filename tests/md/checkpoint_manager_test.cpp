@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
+#include "core/crc32.h"
 #include "core/error.h"
 #include "core/fault_injection.h"
 #include "md/checkpoint_manager.h"
@@ -102,6 +104,35 @@ TEST_F(CheckpointManagerTest, TruncatedLatestFallsBackToPrevious) {
   EXPECT_TRUE(loaded.used_fallback);
   EXPECT_EQ(loaded.checkpoint.step, 10);
   EXPECT_EQ(loaded.source_path, manager.previous_path());
+}
+
+TEST_F(CheckpointManagerTest, ImpossibleMassOrBoxFallsBackToPrevious) {
+  // The latest generation is well formed and CRC-valid but carries a
+  // physically impossible field: load must treat it like any other corrupt
+  // generation and fall back, not abort with a contract violation.
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{" mass 0x1p+0 ", " mass 0x0p+0 "},
+        {" mass 0x1p+0 ", " mass -0x1p+0 "},
+        {" box 0x1p+2 ", " box 0x0p+0 "},
+        {" box 0x1p+2 ", " box -0x1p+2 "}}) {
+    SCOPED_TRACE(to);
+    fs::remove(path_);
+    fs::remove(path_ + ".prev");
+    CheckpointManager manager(path_);
+    manager.save(system_at_step(10), PeriodicBox(4.0), 10);
+    manager.save(system_at_step(20), PeriodicBox(4.0), 20);
+
+    std::string body = strip_crc_footer(read_all(path_), "test");
+    const std::size_t at = body.find(from);
+    ASSERT_NE(at, std::string::npos) << body.substr(0, 80);
+    body.replace(at, from.size(), to);
+    write_all(path_, with_crc_footer(body));
+
+    const CheckpointLoad loaded = manager.load();
+    EXPECT_TRUE(loaded.used_fallback);
+    EXPECT_EQ(loaded.checkpoint.step, 10);
+    EXPECT_EQ(loaded.source_path, manager.previous_path());
+  }
 }
 
 TEST_F(CheckpointManagerTest, FlippedPayloadByteFailsTheCrc) {

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/crc32.h"
 #include "core/error.h"
@@ -316,6 +317,33 @@ TEST(Checkpoint, RejectsAtomCountTheBodyCannotHold) {
     EXPECT_NE(std::string(e.what()).find("atom count 4000000000"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Checkpoint, RejectsNonPositiveMassOrBoxEdgeTyped) {
+  // CRC-valid files whose mass or box edge is zero or negative are malformed
+  // input: they must fail as RuntimeFailure (which CheckpointManager falls
+  // back from), not as a contract violation from ParticleSystem::set_mass or
+  // PeriodicBox.
+  const std::pair<const char*, const char*> cases[] = {
+      {"mass 0x0p+0 box 0x1p+2", "mass must be positive"},
+      {"mass -0x0p+0 box 0x1p+2", "mass must be positive"},
+      {"mass -0x1p+0 box 0x1p+2", "mass must be positive"},
+      {"mass 0x1p+0 box 0x0p+0", "box edge must be positive"},
+      {"mass 0x1p+0 box -0x0p+0", "box edge must be positive"},
+      {"mass 0x1p+0 box -0x1p+2", "box edge must be positive"}};
+  for (const auto& [fields, message] : cases) {
+    SCOPED_TRACE(fields);
+    std::stringstream stream(with_crc_footer(
+        std::string("emdpa-checkpoint 4\natoms 1 ") + fields +
+        " step 0 pe 0x0p+0\n0 0 0 0 0 0 0 0 0\n"));
+    try {
+      load_checkpoint(stream);
+      FAIL() << "an impossible state line loaded";
+    } catch (const RuntimeFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -92,40 +92,52 @@ TEST(NeighborBinning, AllAtomsInOneCell) {
 }
 
 TEST(NeighborBinning, EmptySystem) {
-  const PeriodicBox box(10.0);
-  LjParams lj;
-  NeighborListKernel kernel;
-  const auto result = kernel.compute({}, box, lj, 1.0);
-  EXPECT_TRUE(result.accelerations.empty());
-  EXPECT_EQ(result.potential_energy, 0.0);
-  EXPECT_EQ(result.stats.candidates, 0u);
-  EXPECT_EQ(result.stats.interacting, 0u);
+  // 10.0 bins on a full cell grid; 3.0 is below the stencil width, so the
+  // build runs on a single cell.
+  for (const double edge : {10.0, 3.0}) {
+    SCOPED_TRACE(edge);
+    const PeriodicBox box(edge);
+    LjParams lj;
+    NeighborListKernel kernel;
+    const auto result = kernel.compute({}, box, lj, 1.0);
+    EXPECT_TRUE(result.accelerations.empty());
+    EXPECT_EQ(result.potential_energy, 0.0);
+    EXPECT_EQ(result.stats.candidates, 0u);
+    EXPECT_EQ(result.stats.interacting, 0u);
 
-  ParallelNeighborListT<double> list(0.3);
-  list.build({}, box, lj.cutoff);
-  EXPECT_EQ(list.size(), 0u);
-  EXPECT_EQ(list.directed_entries(), 0u);
-  EXPECT_EQ(list.build_distance_tests(), 0u);
-  ASSERT_EQ(list.row_begin().size(), 1u);
-  EXPECT_TRUE(list.entries().empty());
+    ParallelNeighborListT<double> list(0.3);
+    list.build({}, box, lj.cutoff);
+    EXPECT_EQ(list.size(), 0u);
+    EXPECT_EQ(list.directed_entries(), 0u);
+    EXPECT_EQ(list.build_distance_tests(), 0u);
+    ASSERT_EQ(list.row_begin().size(), 1u);
+    EXPECT_TRUE(list.entries().empty());
+  }
 }
 
 TEST(NeighborBinning, SingleAtom) {
-  const PeriodicBox box(10.0);
-  LjParams lj;
-  NeighborListKernel kernel;
-  const auto result = kernel.compute({{5.0, 5.0, 5.0}}, box, lj, 1.0);
-  ASSERT_EQ(result.accelerations.size(), 1u);
-  EXPECT_EQ(result.accelerations[0], Vec3d{});
-  EXPECT_EQ(result.potential_energy, 0.0);
-  EXPECT_EQ(result.stats.interacting, 0u);
+  // As EmptySystem: a full cell grid, then a single-cell box.
+  for (const double edge : {10.0, 3.0}) {
+    SCOPED_TRACE(edge);
+    const PeriodicBox box(edge);
+    const Vec3d at{edge / 2, edge / 2, edge / 2};
+    LjParams lj;
+    NeighborListKernel kernel;
+    const auto result = kernel.compute({at}, box, lj, 1.0);
+    ASSERT_EQ(result.accelerations.size(), 1u);
+    EXPECT_EQ(result.accelerations[0], Vec3d{});
+    EXPECT_EQ(result.potential_energy, 0.0);
+    EXPECT_EQ(result.stats.interacting, 0u);
 
-  ParallelNeighborListT<double> list(0.3);
-  list.build({{5.0, 5.0, 5.0}}, box, lj.cutoff);
-  EXPECT_EQ(list.directed_entries(), 0u);
-  EXPECT_EQ(list.build_distance_tests(), 0u);
-  // The single row may still carry SIMD padding slots; all must self-refer.
-  for (const std::uint32_t e : list.entries()) EXPECT_EQ(e, 0u);
+    ParallelNeighborListT<double> list(0.3);
+    list.build({at}, box, lj.cutoff);
+    EXPECT_EQ(list.directed_entries(), 0u);
+    EXPECT_EQ(list.build_distance_tests(), 0u);
+    // The single row may still carry SIMD padding slots; all must
+    // self-refer.
+    ASSERT_EQ(list.row_begin().size(), 2u);
+    for (const std::uint32_t e : list.entries()) EXPECT_EQ(e, 0u);
+  }
 }
 
 TEST(NeighborBinning, NegativeAndFarOutOfBoxPositions) {

@@ -12,7 +12,8 @@
 // compiler flags (no expression here can be contracted into an FMA) and are
 // exact in float too.  The box edges are chosen around the stencil width
 // (5 cells at cutoff 2.5 + skin 0.3): 7.5 gives cells == width, 9.0 width+1,
-// 10.5 width+2, and 6.25 falls below it into the all-pairs fallback.
+// 10.5 width+2, and 6.25 falls below it, so it builds on a one-cell grid
+// (every atom tests every other, in index order).
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -42,8 +42,9 @@ TEST_P(NeighborListAgreement, MatchesReferenceKernel) {
   }
 }
 
-// 27 exercises the degenerate all-pairs fallback (box < 3 cells per axis);
-// 171 is deliberately not a multiple of any SIMD width; 2048 has a real grid.
+// 27, 64, 171 and 256 fit fewer cells per axis than the 5-cell stencil, so
+// they build on a one-cell grid; 171 is deliberately not a multiple of any
+// SIMD width; 512 and 2048 have a real grid.
 INSTANTIATE_TEST_SUITE_P(AtomCounts, NeighborListAgreement,
                          ::testing::Values(27, 64, 171, 256, 512, 2048));
 

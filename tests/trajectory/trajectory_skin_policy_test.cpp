@@ -44,7 +44,7 @@ TEST(SkinPolicy, FastMovingAtomForcesRebuild) {
 TEST(SkinPolicy, NeverRebuildIgnoresDisplacementButNotStructure) {
   Workload w = melt_workload(256);
   const LjParams lj;
-  ParallelNeighborListT<double> list(kSkin, nullptr, 64, SkinPolicy::kNeverRebuild);
+  ParallelNeighborListT<double> list(kSkin, nullptr, SkinPolicy::kNeverRebuild);
   list.build(w.system.positions(), w.box, lj.cutoff);
 
   std::vector<Vec3d> moved = w.system.positions();
