@@ -29,6 +29,8 @@ std::string cli_usage() {
       "   see src/core/fault_injection.h for the site list and spec grammar)\n"
       "  SIGINT/SIGTERM drain cooperatively: the current step (or batch time\n"
       "  slice) finishes, an emergency checkpoint is written, exit code 4.\n"
+      "  A failed allocation (out of memory) exits 5, naming the invocation;\n"
+      "  other errors exit 1.\n"
       "\n"
       "Time travel & bisection (host-parallel backend; `run` and `bisect`):\n" +
       knob_usage(KnobGroup::kStore) +

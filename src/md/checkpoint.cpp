@@ -61,6 +61,12 @@ Checkpoint parse_body(std::istream& in, std::size_t body_bytes, int version) {
     throw RuntimeFailure("checkpoint: box edge must be positive, got '" +
                          box_tok + "'");
   }
+  // A run never saves before step 0; a negative step would resume as if
+  // nothing had been resumed at all.
+  if (step < 0) {
+    throw RuntimeFailure("checkpoint: step must be non-negative, got " +
+                         std::to_string(step));
+  }
 
   Checkpoint cp;
   cp.system = ParticleSystem(n);

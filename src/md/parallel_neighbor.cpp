@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <numbers>
 #include <string>
 
 #include "core/error.h"
@@ -22,8 +23,8 @@ const char* to_string(SkinPolicy policy) {
 
 // ---------------------------------------------------------------------------
 // Build passes.  Everything here is part of the determinism contract: the
-// padding unit and the chunk decomposition of the counting sort fix the bytes
-// of the CSR, which must not depend on the thread count.
+// padding unit, the stable counting sort and the sweep's candidate order fix
+// the bytes of the CSR, which must not depend on the thread count.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -52,18 +53,50 @@ constexpr std::uint32_t padded_count(std::uint32_t count) {
   return (count + w - 1) / w * w;
 }
 
-/// Atoms per histogram chunk in the parallel counting sort.  The chunk
-/// decomposition is a function of N ONLY — never the thread count — because
-/// the scatter pass routes each chunk's atoms through per-chunk cursors and
-/// the resulting stable order must not depend on how many workers ran.  The
-/// cap bounds the bin_hist footprint (chunks * cells) for huge systems.
-constexpr std::size_t kBinChunkAtoms = 2048;
-constexpr std::size_t kMaxBinChunks = 256;
+/// The minimum-image shift of one axis difference `d` as an exact select
+/// (box.h round_half_threshold): subtracting it accepts and rejects exactly
+/// as min_image would, with no division.
+template <typename Real>
+Real image_shift(Real d, Real half, Real edge) {
+  return std::fabs(d) >= half ? std::copysign(edge, d) : Real(0);
+}
 
-std::size_t bin_chunk_size(std::size_t n) {
-  std::size_t chunk = kBinChunkAtoms;
-  while ((n + chunk - 1) / chunk > kMaxBinChunks) chunk *= 2;
-  return chunk;
+/// A fill chunk reserves this multiple of its atoms' expected hits, which
+/// at liquid density also covers the last row's candidates.
+constexpr double kHitReserveMargin = 1.1;
+
+/// The cell grid holds at most max(kCellsPerAtom * n, kMinCellCap) cells:
+/// without a cap a dilute box sizes the grid, its tables and the bin phase
+/// by the box volume.  The floor keeps a few-atom system on a real stencil;
+/// its tables stay tiny.
+constexpr std::size_t kCellsPerAtom = 8;
+constexpr std::size_t kMinCellCap = 4096;  // 16^3
+
+/// Largest per-axis cell count whose cube stays within the cap for n atoms.
+std::size_t max_cells_per_axis(std::size_t n) {
+  const std::size_t cap = std::max(kMinCellCap, kCellsPerAtom * n);
+  auto c = static_cast<std::size_t>(std::cbrt(static_cast<double>(cap)));
+  while (c * c * c > cap) --c;
+  while ((c + 1) * (c + 1) * (c + 1) <= cap) ++c;
+  return c;
+}
+
+/// Histogram chunks of the parallel counting sort.  Within a chunk atoms are
+/// counted and scattered in index order and chunk cursors are ordered by
+/// chunk id, so every chunking yields the same unique stable sort; the
+/// decomposition is a function of (N, cells) only, never the thread count.
+/// A chunk holds at least kBinChunkAtoms atoms, and the per-chunk histograms
+/// (chunks * cells entries) stay within kBinHistPerAtom entries per atom, so
+/// a fine grid does not multiply its size by the chunk count.
+constexpr std::size_t kBinChunkAtoms = 2048;
+constexpr std::size_t kBinHistPerAtom = 8;
+
+std::size_t bin_chunk_size(std::size_t n, std::size_t n_cells) {
+  const std::size_t by_atoms = (n + kBinChunkAtoms - 1) / kBinChunkAtoms;
+  const std::size_t by_hist =
+      std::max<std::size_t>(1, kBinHistPerAtom * n / n_cells);
+  const std::size_t chunks = std::min(by_atoms, by_hist);
+  return (n + chunks - 1) / chunks;
 }
 
 /// Clamp one wrapped coordinate to its axis cell.  The clamp guards the
@@ -111,7 +144,7 @@ void sort_into_cells(ThreadPool* pool,
                      std::vector<Real>& sorted_z) {
   const std::size_t n = positions.size();
   const std::size_t n_cells = cells * cells * cells;
-  const std::size_t chunk = bin_chunk_size(n);
+  const std::size_t chunk = bin_chunk_size(n, n_cells);
   const std::size_t n_chunks = (n + chunk - 1) / chunk;
 
   bin_hist.assign(n_chunks * n_cells, 0);
@@ -332,13 +365,14 @@ void ParallelNeighborListT<Real>::build(
   // Cell edge targets HALF the list radius: cutoff-sized cells sweep the
   // classic 27-cell stencil, ~16x the volume of the list sphere, while a
   // radius-2 stencil over half-sized cells sweeps ~6x — far fewer wasted
-  // distance tests per build.  `range` is however many cells it takes to
-  // cover the list radius at the realised cell edge.
+  // distance tests per build.  A dilute box is capped at kCellsPerAtom cells
+  // per atom instead, with larger cells.  `range` is however many cells it
+  // takes to cover the list radius at the realised cell edge.
   const double edge = static_cast<double>(box.edge());
-  auto cells_ll =
-      static_cast<long long>(edge / (static_cast<double>(list_cutoff) * 0.5));
-  if (cells_ll < 1) cells_ll = 1;
-  auto cells = static_cast<std::size_t>(cells_ll);
+  const double cells_by_edge =
+      std::floor(edge / (static_cast<double>(list_cutoff) * 0.5));
+  auto cells = static_cast<std::size_t>(std::clamp(
+      cells_by_edge, 1.0, static_cast<double>(max_cells_per_axis(n))));
   const double cell_edge = edge / static_cast<double>(cells);
   auto range = static_cast<std::size_t>(
       std::ceil(static_cast<double>(list_cutoff) / cell_edge));
@@ -365,44 +399,42 @@ void ParallelNeighborListT<Real>::build(
 
   // Stencil population per cell.  Every atom in a cell sweeps exactly the
   // atoms of that cell's stencil (minus itself), so this is the EXACT
-  // per-row distance-test count — which lets the single sweep below write
-  // hits straight into disjoint scratch ranges with no counting pass.
-  // Computed separably: one 1-D wrap-around window pass per axis.
+  // per-row distance-test count — the one row's slack the sweep below
+  // reserves before writing a row, with no counting pass.  Computed
+  // separably: one 1-D wrap-around window pass per axis.
   populate_stencil(pool_, cells, range, cell_start_, stencil_pop_,
                    stencil_tmp_);
-
-  // Exact scratch row offsets, laid out in slot order so the sweep writes
-  // its rows front to back (serial prefix — deterministic, so the layout is
-  // independent of thread count).  Each row gets its tests plus one slack
-  // slot: the sweep stores every candidate before deciding whether to keep
-  // it, self included.
-  scratch_begin_.resize(n);
-  std::uint64_t scratch_size = 0;
+  std::uint64_t candidates = 0;
   for (std::size_t c = 0; c < n_cells; ++c) {
-    for (std::uint32_t s = cell_start_[c]; s < cell_start_[c + 1]; ++s) {
-      scratch_begin_[cell_atoms_[s]] = scratch_size;
-      scratch_size += stencil_pop_[c];
-    }
+    candidates += std::uint64_t{cell_start_[c + 1] - cell_start_[c]} *
+                  stencil_pop_[c];
   }
-  build_distance_tests_ = scratch_size - n;  // every candidate but self
-  scratch_entries_.resize(scratch_size);
+  build_distance_tests_ = candidates - n;  // every candidate but self
 
   last_bin_seconds_ = seconds_since(t_start);
   bin_seconds_total_ += last_bin_seconds_;
   const auto t_fill = std::chrono::steady_clock::now();
 
   // The single distance sweep, walked cell by cell so a cell's rows share
-  // one stencil.  For each stencil column (px, py) the `width` z-cells are
-  // consecutive mod `cells`, so they are one contiguous slot range of the
-  // cell-sorted coordinates, or two when the run wraps — visited in the
-  // same kz order as the stencil table.  Each row's candidates therefore
-  // come in one fixed order (stencil cells in table order, atoms within a
-  // cell in index order) and the list is a pure function of the inputs.
-  // The per-axis test is min_image as an exact select (box.h
-  // round_half_threshold): no division, and the same accept/reject as
-  // min_image followed by the same length_squared expression.  Hits are
-  // written branch-free: every candidate is stored, and the cursor moves
-  // only past the keepers.
+  // one stencil.  It goes out in fixed chunks of kCellGrain cells (a
+  // function of the grid only), and each chunk appends its rows, in slot
+  // order, to its own hit buffer.  The chunk first reserves its atoms'
+  // expected hits: density x list-sphere volume each (at most n - 1), what
+  // an atom of a uniform system holds, so a fresh build allocates a buffer
+  // about once and a reused one not at all.  Before a row the buffer grows
+  // by the row's candidate count, after it shrinks back to the hits kept,
+  // so it ends the size of the chunk's hits; capacity the sweep never
+  // writes is never touched.
+  // For each stencil column (px, py) the `width` z-cells are consecutive
+  // mod `cells`, so they are one contiguous slot range of the cell-sorted
+  // coordinates, or two when the run wraps — visited in the same kz order
+  // as the stencil table.  Each row's candidates therefore come in one
+  // fixed order (stencil cells in table order, atoms within a cell in index
+  // order) and the list is a pure function of the inputs.  The per-axis
+  // test is min_image as an exact select (image_shift): no division, and
+  // the same accept/reject as min_image followed by the same length_squared
+  // expression.  Hits are written branch-free: every candidate is stored,
+  // and the cursor moves only past the keepers.
   const Real box_edge = box.edge();
   const Real half = box.round_half_threshold();
   const Real cutoff_sq = list_cutoff_sq_;
@@ -412,56 +444,76 @@ void ParallelNeighborListT<Real>::build(
   const std::uint32_t* start = cell_start_.data();
   const std::uint32_t* atoms = cell_atoms_.data();
   const std::uint32_t* axis = stencil_axis_.data();
-  std::uint32_t* scratch = scratch_entries_.data();
+  const std::uint32_t* pop = stencil_pop_.data();
   row_count_.resize(n);
+  row_handle_.resize(n);
+  const std::size_t n_fill_chunks = (n_cells + kCellGrain - 1) / kCellGrain;
+  fill_hits_.resize(n_fill_chunks);
+  const double r = static_cast<double>(list_cutoff);
+  const double sphere = 4.0 / 3.0 * std::numbers::pi * r * r * r;
+  const double density = static_cast<double>(n) / (edge * edge * edge);
+  const double hits_per_atom =
+      std::min(static_cast<double>(n - 1), density * sphere);
   EMDPA_ENSURE(width <= kMaxStencilWidth, "list stencil wider than 7 cells");
-  run_span(pool_, n_cells, kCellGrain, [&](std::size_t c_begin,
-                                           std::size_t c_end) {
+  run_span(pool_, n_fill_chunks, 1, [&](std::size_t k_begin,
+                                        std::size_t k_end) {
     // [begin, end) slot ranges of one cell's stencil: up to two z-runs per
     // (px, py) column.
     std::uint32_t spans[4 * kMaxStencilWidth * kMaxStencilWidth];
-    for (std::size_t c = c_begin; c < c_end; ++c) {
-      if (start[c] == start[c + 1]) continue;
-      const std::size_t cx = c / (cells * cells);
-      const std::size_t cy = (c / cells) % cells;
-      const std::size_t z_first = (c % cells + cells - range) % cells;
-      const std::size_t z_last = z_first + width;  // may pass `cells`: wraps
-      std::size_t n_spans = 0;
-      for (std::size_t kx = 0; kx < width; ++kx) {
-        const std::size_t px = axis[cx * width + kx];
-        for (std::size_t ky = 0; ky < width; ++ky) {
-          const std::size_t py = axis[cy * width + ky];
-          const std::size_t column = (px * cells + py) * cells;
-          spans[n_spans++] = start[column + z_first];
-          spans[n_spans++] = start[column + std::min(z_last, cells)];
-          if (z_last > cells) {
-            spans[n_spans++] = start[column];
-            spans[n_spans++] = start[column + z_last - cells];
+    for (std::size_t chunk = k_begin; chunk < k_end; ++chunk) {
+      HitBuffer& hits = fill_hits_[chunk];
+      const std::size_t c_begin = chunk * kCellGrain;
+      const std::size_t c_end = std::min(n_cells, c_begin + kCellGrain);
+      hits.clear();
+      hits.reserve(static_cast<std::size_t>(
+          kHitReserveMargin * hits_per_atom * (start[c_end] - start[c_begin])));
+      for (std::size_t c = c_begin; c < c_end; ++c) {
+        if (start[c] == start[c + 1]) continue;
+        const std::size_t cx = c / (cells * cells);
+        const std::size_t cy = (c / cells) % cells;
+        const std::size_t z_first = (c % cells + cells - range) % cells;
+        const std::size_t z_last = z_first + width;  // may pass `cells`: wraps
+        std::size_t n_spans = 0;
+        for (std::size_t kx = 0; kx < width; ++kx) {
+          const std::size_t px = axis[cx * width + kx];
+          for (std::size_t ky = 0; ky < width; ++ky) {
+            const std::size_t py = axis[cy * width + ky];
+            const std::size_t column = (px * cells + py) * cells;
+            spans[n_spans++] = start[column + z_first];
+            spans[n_spans++] = start[column + std::min(z_last, cells)];
+            if (z_last > cells) {
+              spans[n_spans++] = start[column];
+              spans[n_spans++] = start[column + z_last - cells];
+            }
           }
         }
-      }
-      for (std::uint32_t self = start[c]; self < start[c + 1]; ++self) {
-        const Real xi = xs[self];
-        const Real yi = ys[self];
-        const Real zi = zs[self];
-        const std::uint32_t i = atoms[self];
-        std::uint32_t* out = scratch + scratch_begin_[i];
-        std::uint32_t kept = 0;
-        for (std::size_t k = 0; k < n_spans; k += 2) {
-          for (std::uint32_t s = spans[k]; s < spans[k + 1]; ++s) {
-            Real dx = xi - xs[s];
-            Real dy = yi - ys[s];
-            Real dz = zi - zs[s];
-            dx -= std::fabs(dx) >= half ? std::copysign(box_edge, dx) : Real(0);
-            dy -= std::fabs(dy) >= half ? std::copysign(box_edge, dy) : Real(0);
-            dz -= std::fabs(dz) >= half ? std::copysign(box_edge, dz) : Real(0);
-            const Real r2 = dx * dx + dy * dy + dz * dz;
-            out[kept] = atoms[s];
-            kept += static_cast<std::uint32_t>(r2 < cutoff_sq) &
-                    static_cast<std::uint32_t>(s != self);
+        for (std::uint32_t self = start[c]; self < start[c + 1]; ++self) {
+          const Real xi = xs[self];
+          const Real yi = ys[self];
+          const Real zi = zs[self];
+          const std::uint32_t i = atoms[self];
+          const std::size_t used = hits.size();
+          hits.resize(used + pop[c]);
+          std::uint32_t* out = hits.data() + used;
+          std::uint32_t kept = 0;
+          for (std::size_t k = 0; k < n_spans; k += 2) {
+            for (std::uint32_t s = spans[k]; s < spans[k + 1]; ++s) {
+              Real dx = xi - xs[s];
+              Real dy = yi - ys[s];
+              Real dz = zi - zs[s];
+              dx -= image_shift(dx, half, box_edge);
+              dy -= image_shift(dy, half, box_edge);
+              dz -= image_shift(dz, half, box_edge);
+              const Real r2 = dx * dx + dy * dy + dz * dz;
+              out[kept] = atoms[s];
+              kept += static_cast<std::uint32_t>(r2 < cutoff_sq) &
+                      static_cast<std::uint32_t>(s != self);
+            }
           }
+          hits.resize(used + kept);
+          row_count_[i] = kept;
+          row_handle_[i] = (std::uint64_t{chunk} << 32) | used;
         }
-        row_count_[i] = kept;
       }
     }
   });
@@ -473,13 +525,15 @@ void ParallelNeighborListT<Real>::build(
     directed_entries_ += row_count_[i];
   }
 
-  // Compaction: copy each scratch row into its padded slot range.  Pure
+  // Compaction: copy each row's hits into its padded slot range.  Pure
   // data movement, no distance math.
   entries_.resize(row_begin_[n]);
   run_span(pool_, n, kRowGrain, [&](std::size_t i_begin,
                                     std::size_t i_end) {
     for (std::size_t i = i_begin; i < i_end; ++i) {
-      const std::uint32_t* src = scratch_entries_.data() + scratch_begin_[i];
+      const std::uint64_t handle = row_handle_[i];
+      const std::uint32_t* src =
+          fill_hits_[handle >> 32].data() + (handle & 0xffffffffu);
       std::uint32_t slot = row_begin_[i];
       for (std::uint32_t k = 0; k < row_count_[i]; ++k) {
         entries_[slot++] = src[k];

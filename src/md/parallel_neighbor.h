@@ -21,7 +21,16 @@
 //    row's distance-test count is known exactly up front (the population of
 //    its cell's stencil, computed by three separable 1-D wrap-around window
 //    passes, O(cells^3) instead of O(cells^3 * width^3)), a SINGLE
-//    pool-parallel sweep writes hits straight into disjoint scratch ranges.
+//    pool-parallel sweep writes hits with no counting pass.  The sweep goes
+//    out in fixed chunks of cells, and each chunk writes its rows' hits
+//    densely into its own buffer, which needs only one row's stencil
+//    population of slack at a time: the build's storage is sized by hits,
+//    not by distance tests.  A chunk reserves its atoms' expected hits up
+//    front, and the buffers are kept across builds, so a fresh build
+//    allocates each about once and a steady-state build not at all.
+//    The grid has at most 8 cells per atom (16^3 for a few atoms), so a
+//    dilute box costs memory and bin time by its atoms, not its volume;
+//    beyond that cap the cells grow and the stencil range shrinks.
 //    A box narrower than the stencil (2*range + 1 > cells, where wrap-around
 //    would visit a cell twice) is built on a one-cell grid with range 0:
 //    every atom then tests every other atom, in index order, through the
@@ -39,8 +48,8 @@
 //    runtime-dispatched ISA; padding slots hold the atom's own index, whose
 //    r2 == 0 the shared lane mask (lj_simd.h) already rejects.  The build
 //    reports two phase timings — "bin" (wrap + counting sort + stencil
-//    tables + scratch offsets) and "fill" (distance sweep + prefix +
-//    compaction) — which the host-parallel backend surfaces as
+//    tables) and "fill" (distance sweep + prefix + compaction) — which the
+//    host-parallel backend surfaces as
 //    RunResult::metadata keys list_build_bin_ms / list_build_fill_ms.
 //
 //  * NeighborListKernelT — a ForceKernelT that walks each atom's neighbour
@@ -60,6 +69,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -192,8 +203,8 @@ class ParallelNeighborListT {
   std::uint64_t build_distance_tests() const { return build_distance_tests_; }
 
   /// Wall-clock seconds the most recent build spent in the binning phase
-  /// (wrap + parallel counting sort + stencil tables + scratch offsets) and
-  /// in the fill phase (distance sweep + prefix + compaction).  The
+  /// (wrap + parallel counting sort + stencil tables) and in the fill phase
+  /// (distance sweep + prefix + compaction).  The
   /// *_seconds_total accessors accumulate across every build since
   /// construction — what the backend metadata and benchmarks report.
   double last_bin_seconds() const { return last_bin_seconds_; }
@@ -202,7 +213,27 @@ class ParallelNeighborListT {
   double fill_seconds_total() const { return fill_seconds_total_; }
 
  private:
-  /// Rows of the fill sweep go out in chunks of this many cells (about 90
+  /// Grows without value-initialising: a fill chunk's buffer gets one row's
+  /// slack before each row, and the sweep writes every slot it reads back,
+  /// so zeroing it would only touch pages for nothing.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+  using HitBuffer =
+      std::vector<std::uint32_t, DefaultInitAllocator<std::uint32_t>>;
+
+  /// Rows of the fill sweep go out in chunks of this many cells (about 75
   /// atoms at liquid density), rows of the compaction in chunks of
   /// kRowGrain atoms, and the staleness scan in chunks of kScanGrain atoms,
   /// so a 2k-atom scan stays on the caller.
@@ -243,8 +274,9 @@ class ParallelNeighborListT {
   std::vector<std::uint32_t> stencil_axis_;  ///< per-axis wrapped cell indices
   std::vector<std::uint32_t> stencil_pop_;   ///< atoms per cell stencil
   std::vector<std::uint32_t> stencil_tmp_;   ///< separable-pass intermediate
-  std::vector<std::uint64_t> scratch_begin_; ///< per-atom scratch row start
-  std::vector<std::uint32_t> scratch_entries_;
+  std::vector<HitBuffer> fill_hits_;  ///< per fill chunk: its rows' hits
+  /// Per atom: where its row sits in fill_hits_, (chunk << 32) | offset.
+  std::vector<std::uint64_t> row_handle_;
 };
 
 /// Neighbour-list force kernel: the host fast path at large N.

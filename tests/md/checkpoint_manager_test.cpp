@@ -135,6 +135,26 @@ TEST_F(CheckpointManagerTest, ImpossibleMassOrBoxFallsBackToPrevious) {
   }
 }
 
+TEST_F(CheckpointManagerTest, NegativeStepFallsBackToPrevious) {
+  // A well-formed, CRC-valid latest generation whose step was rewritten
+  // negative is corrupt: load falls back instead of handing back a state
+  // that would resume as a fresh run.
+  CheckpointManager manager(path_);
+  manager.save(system_at_step(10), PeriodicBox(4.0), 10);
+  manager.save(system_at_step(20), PeriodicBox(4.0), 20);
+
+  std::string body = strip_crc_footer(read_all(path_), "test");
+  const std::size_t at = body.find(" step 20 ");
+  ASSERT_NE(at, std::string::npos) << body.substr(0, 80);
+  body.replace(at, 9, " step -5 ");
+  write_all(path_, with_crc_footer(body));
+
+  const CheckpointLoad loaded = manager.load();
+  EXPECT_TRUE(loaded.used_fallback);
+  EXPECT_EQ(loaded.checkpoint.step, 10);
+  EXPECT_EQ(loaded.source_path, manager.previous_path());
+}
+
 TEST_F(CheckpointManagerTest, FlippedPayloadByteFailsTheCrc) {
   CheckpointManager manager(path_);
   manager.save(system_at_step(10), PeriodicBox(4.0), 10);

@@ -347,6 +347,30 @@ TEST(Checkpoint, RejectsNonPositiveMassOrBoxEdgeTyped) {
   }
 }
 
+TEST(Checkpoint, RejectsNegativeStepTyped) {
+  // A CRC-valid file whose step is negative is malformed input: a resume
+  // from it would report itself as a fresh run.  Step 0 stays valid.
+  for (const char* step : {"-1", "-5", "-2147483648"}) {
+    SCOPED_TRACE(step);
+    std::stringstream stream(with_crc_footer(
+        std::string("emdpa-checkpoint 4\natoms 1 mass 0x1p+0 box 0x1p+2 "
+                    "step ") +
+        step + " pe 0x0p+0\n0 0 0 0 0 0 0 0 0\n"));
+    try {
+      load_checkpoint(stream);
+      FAIL() << "a negative step loaded";
+    } catch (const RuntimeFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("step must be non-negative"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream zero(with_crc_footer(
+      "emdpa-checkpoint 4\natoms 1 mass 0x1p+0 box 0x1p+2 step 0 pe 0x0p+0\n"
+      "0 0 0 0 0 0 0 0 0\n"));
+  EXPECT_EQ(load_checkpoint(zero).step, 0);
+}
+
 TEST(Checkpoint, V3FilesDoNotAdmitListref) {
   // The section is a v4 addition; a v3 file carrying it is malformed.
   std::stringstream stream(with_crc_footer(

@@ -1,8 +1,19 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <new>
+#include <string>
+#include <vector>
 
 #include "core/error.h"
+#include "core/random.h"
 #include "core/thread_pool.h"
 #include "md/integrator.h"
 #include "md/parallel_neighbor.h"
@@ -334,6 +345,133 @@ TEST(ParallelNeighborList, StalenessScanAgreesWithFullMinImageScan) {
   // Both outcomes were exercised.
   EXPECT_GT(stale, 0u);
   EXPECT_LT(stale, configs);
+}
+
+// Address/thread sanitizers reserve terabytes of shadow address space, so an
+// address-space limit cannot be applied under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Exit codes of the child in run_with_address_budget.
+constexpr int kChildOk = 0;
+constexpr int kChildNoLimit = 2;
+constexpr int kChildOutOfMemory = 3;
+constexpr int kChildOtherFailure = 4;
+
+/// Runs `body` in a forked child whose address space may grow by at most
+/// `budget_mb` MiB beyond what it has mapped at the fork (RLIMIT_AS), and
+/// returns the child's exit code: `body`'s own result, or kChildOutOfMemory
+/// when an allocation failed.
+int run_with_address_budget(std::size_t budget_mb,
+                            const std::function<int()>& body) {
+  const pid_t child = fork();
+  if (child == 0) {
+    std::size_t mapped_kb = 0;
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);) {
+      if (line.rfind("VmSize:", 0) == 0) {
+        mapped_kb = std::stoul(line.substr(std::strlen("VmSize:")));
+      }
+    }
+    const rlim_t limit = (mapped_kb << 10) + (budget_mb << 20);
+    const rlimit rl{limit, limit};
+    if (mapped_kb == 0 || setrlimit(RLIMIT_AS, &rl) != 0) _exit(kChildNoLimit);
+    try {
+      _exit(body());
+    } catch (const std::bad_alloc&) {
+      _exit(kChildOutOfMemory);
+    } catch (...) {
+      _exit(kChildOtherFailure);
+    }
+  }
+  int status = 0;
+  if (child < 0 || waitpid(child, &status, 0) != child) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
+}
+
+TEST(ParallelNeighborList, Liquid100kBuildsInHitSizedMemory) {
+  if (kSanitized) GTEST_SKIP() << "address-space limit under a sanitizer";
+  // A fresh 100k-atom liquid list holds ~7.9M padded entries (~31 MB) plus
+  // about as much in its fill chunks' hits: it builds in ~76 MiB of new
+  // address space.  Scratch sized by distance tests (~29M slots, 112 MiB in
+  // one allocation) cannot fit the 110 MiB budget, however much freed memory
+  // the process has to reuse.
+  WorkloadSpec spec;
+  spec.n_atoms = 100000;
+  const Workload w = make_lattice_workload(spec);
+  const int code = run_with_address_budget(110, [&] {
+    ParallelNeighborListT<double> list(0.3);
+    list.build(w.system.positions(), w.box, 2.5);
+    return list.directed_entries() > 70 * spec.n_atoms ? kChildOk : 1;
+  });
+  EXPECT_EQ(code, kChildOk) << "3 = the build ran out of address space";
+}
+
+TEST(ParallelNeighborList, DiluteBoxBuildsByAtomsNotVolume) {
+  if (kSanitized) GTEST_SKIP() << "address-space limit under a sanitizer";
+  // 64 atoms at density 1e-6: a 400-wide box, which half-radius cells would
+  // split into 285^3 = 23M cells (hundreds of MB of cell tables).  The grid
+  // is capped by the atom count instead.  The atoms sit in eight tight
+  // clusters, one straddling the box corner, so rows are not empty and the
+  // minimum image matters; every row must equal a brute-force scan.
+  const std::size_t n = 64;
+  const PeriodicBox box(box_edge_for(n, 1e-6));
+  const double radius = 2.5 + 0.3;
+  Rng rng(64);
+  std::vector<Vec3d> positions;
+  for (std::size_t cluster = 0; cluster < 8; ++cluster) {
+    const Vec3d centre =
+        cluster == 0 ? Vec3d{0.0, 0.0, 0.0}
+                     : Vec3d{rng.uniform(0.0, box.edge()),
+                             rng.uniform(0.0, box.edge()),
+                             rng.uniform(0.0, box.edge())};
+    for (int k = 0; k < 8; ++k) {
+      positions.push_back(centre + Vec3d{rng.uniform(-1.6, 1.6),
+                                         rng.uniform(-1.6, 1.6),
+                                         rng.uniform(-1.6, 1.6)});
+    }
+  }
+
+  std::vector<std::vector<std::uint32_t>> expected(n);
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i && length_squared(box.min_image(positions[i] -
+                                                 positions[j])) <
+                        radius * radius) {
+        expected[i].push_back(static_cast<std::uint32_t>(j));
+        ++pairs;
+      }
+    }
+  }
+  ASSERT_GT(pairs, 4 * n);  // the clusters are dense enough to test rows
+
+  const int code = run_with_address_budget(64, [&] {
+    ParallelNeighborListT<double> list(0.3);
+    list.build(positions, box, 2.5);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<std::uint32_t> row;
+      for (std::uint32_t k = list.row_begin()[i]; k < list.row_begin()[i + 1];
+           ++k) {
+        if (list.entries()[k] != i) row.push_back(list.entries()[k]);
+      }
+      std::sort(row.begin(), row.end());
+      if (row != expected[i]) return 1;
+    }
+    return kChildOk;
+  });
+  EXPECT_EQ(code, kChildOk)
+      << "1 = a row differs from the brute-force scan, 3 = the build ran "
+         "out of address space";
 }
 
 }  // namespace

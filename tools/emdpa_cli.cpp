@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <new>
 #include <string>
 
 #include "core/error.h"
@@ -167,6 +168,8 @@ void print_failure(const char* prefix, const std::exception& e) {
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   std::string checkpoint_path;  // for the abort-path hint
+  std::string invocation = "emdpa";  // for the out-of-memory message
+  for (const std::string& arg : args) invocation += " " + arg;
   // Trap SIGINT/SIGTERM into the cooperative latch before any run starts:
   // runs and batches drain at the next step/slice boundary with their state
   // checkpointed, instead of dying mid-write (exit code 4, resumable).
@@ -224,6 +227,14 @@ int main(int argc, char** argv) {
                    checkpoint_path.c_str());
     }
     return 3;
+  } catch (const std::bad_alloc& e) {
+    // A resource failure, not a usage error or a bug: its own exit code, and
+    // the invocation that asked for the memory, so it can be made smaller.
+    std::fprintf(stderr,
+                 "emdpa: out of memory (%s) running '%s'; lower --atoms, "
+                 "--threads or --max-in-flight, or raise the memory limit\n",
+                 e.what(), invocation.c_str());
+    return 5;
   } catch (const std::exception& e) {
     print_failure("", e);
     return 1;
