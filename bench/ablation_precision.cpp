@@ -15,7 +15,6 @@
 #include "md/observables.h"
 #include "md/parallel_neighbor.h"
 #include "md/reference_kernel.h"
-#include "md/single_precision.h"
 #include "md/workload.h"
 
 int main() {
@@ -102,7 +101,7 @@ int main() {
     md::Workload mx = md::make_lattice_workload(spec);
 
     md::NeighborListKernel dk;
-    md::SingleNeighborListKernel sk;
+    md::NeighborListKernelF sk;
     md::NeighborListKernelMixed mk;
     md::VelocityVerlet dvv(0.005), svv(0.005), mvv(0.005);
 

@@ -65,10 +65,11 @@ struct RunConfig {
   /// rotated previous one on corruption).  `steps` is then the TOTAL step
   /// target: a run resumed at step 250 with steps=500 executes 250 more.
   std::string resume_path;
-  /// Resume even when the checkpoint records a different kernel/precision/
-  /// ISA than this run resolves to (--resume-force).  Default: mismatch
-  /// fails loudly — continuing under different arithmetic silently breaks
-  /// the bitwise-resume guarantee.
+  /// Resume even when the checkpoint records a different kernel or
+  /// precision than this run resolves to (--resume-force).  Default:
+  /// mismatch fails loudly — continuing under different arithmetic silently
+  /// breaks the bitwise-resume guarantee.  The recorded ISA never has to
+  /// match: every dispatched ISA computes the same bits.
   bool resume_force = false;
   /// On a neighbour-list kernel failure, restore the pre-step state and fall
   /// back to the reference N^2 kernel instead of aborting.

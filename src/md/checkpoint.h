@@ -27,12 +27,14 @@
 //
 //  * `config` records the force kernel, precision mode and dispatched SIMD
 //    ISA that produced the state.  Earlier formats stored none of it, so
-//    resuming an `sp`/`sse2` run under different flags silently continued
-//    with different arithmetic — bitwise-identical-looking files, divergent
-//    trajectories.  Simulation::resume now compares the recorded
-//    configuration against the resumed run's resolved one and fails loudly
-//    on any mismatch (Options::ignore_checkpoint_config / --resume-force
-//    overrides explicitly).
+//    resuming an `sp` run under different flags silently continued with
+//    different arithmetic — bitwise-identical-looking files, divergent
+//    trajectories.  Simulation::resume compares the recorded kernel and
+//    precision against the resumed run's resolved ones and fails loudly on
+//    a mismatch (Options::ignore_checkpoint_config / --resume-force
+//    overrides explicitly).  The ISA is recorded for reports and bisect but
+//    not compared: every dispatched ISA computes the same bits, so a run
+//    saved under one resumes bitwise under any other.
 //  * `rng langevin` carries the full Xoshiro256** state of the Langevin
 //    thermostat — the four state words plus the cached Box–Muller second
 //    deviate — so a resumed thermostatted run continues the identical noise
@@ -61,9 +63,10 @@
 
 namespace emdpa::md {
 
-/// Run configuration recorded in a v3 checkpoint: the three knobs that
-/// change the arithmetic of the trajectory without changing the state
-/// layout.  Stored as the report-facing strings (to_string(SimKernel),
+/// Run configuration recorded in a v3 checkpoint: the kernel and precision,
+/// which change the arithmetic of the trajectory without changing the state
+/// layout, and the dispatched ISA, which does not change it (recorded for
+/// reports).  Stored as the report-facing strings (to_string(SimKernel),
 /// to_string(PrecisionMode), simd::to_string or "none") so the file stays
 /// self-describing.
 struct CheckpointConfig {

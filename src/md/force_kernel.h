@@ -7,6 +7,7 @@
 // interface so tests can compare any two kernels on identical inputs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,6 +63,10 @@ struct ForceResultT {
 
 using ForceResult = ForceResultT<double>;
 using ForceResultF = ForceResultT<float>;
+
+/// Atom rows per parallel chunk of the host kernels that split their rows
+/// over a ThreadPool (reference, SoA and neighbour list).
+inline constexpr std::size_t kForceRowGrain = 16;
 
 /// Abstract force kernel at a fixed precision.
 template <typename Real>

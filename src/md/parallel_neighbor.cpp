@@ -461,7 +461,7 @@ void ParallelNeighborListT<Real>::build(
     // (px, py) column.
     std::uint32_t spans[4 * kMaxStencilWidth * kMaxStencilWidth];
     for (std::size_t chunk = k_begin; chunk < k_end; ++chunk) {
-      HitBuffer& hits = fill_hits_[chunk];
+      IndexBuffer& hits = fill_hits_[chunk];
       const std::size_t c_begin = chunk * kCellGrain;
       const std::size_t c_end = std::min(n_cells, c_begin + kCellGrain);
       hits.clear();

@@ -52,15 +52,17 @@
 //    host-parallel backend surfaces as
 //    RunResult::metadata keys list_build_bin_ms / list_build_fill_ms.
 //
-//  * NeighborListKernelT — a ForceKernelT that walks each atom's neighbour
+//  * NeighborListKernelT — a ForceKernel that walks each atom's neighbour
 //    lanes one block at a time (hardware vgatherdpd / vgatherdps straight
 //    from the fixed-stride CSR entries on AVX2+, lane loads below, then the
 //    same fused min-image + masked LJ accumulation as the N^2 SoA kernel,
-//    through the same runtime-dispatched per-ISA row loops — see
-//    soa_kernel.h for the dispatch and <Real, Acc> precision seams).  Atom
-//    rows spread over the pool; per-row partials reduce in row order, so
-//    forces, PE and virial are bitwise identical run to run at ANY thread
-//    count, and bitwise identical across dispatched ISAs.
+//    through the same runtime-dispatched per-ISA row loops).  Everything
+//    around that row loop — ISA dispatch, the <Real, Acc> precision pair,
+//    the pack and the ordered reduction — is SimdForceKernelT's
+//    (simd_force_kernel.h), shared with the SoA kernel: forces, PE and
+//    virial are bitwise identical run to run at ANY thread count, and
+//    bitwise identical across dispatched ISAs.  Each quiet step (no
+//    rebuild) is two pool passes: the pack, then the rows.
 //
 // The list is rebuilt when an atom has moved more than half the skin since
 // the build, and additionally on any change of cutoff, box edge or atom
@@ -71,17 +73,12 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <optional>
-#include <string>
-#include <type_traits>
 #include <vector>
 
-#include "core/aligned_buffer.h"
 #include "core/simd.h"
 #include "core/thread_pool.h"
 #include "md/force_kernel.h"
-#include "md/precision.h"
-#include "md/simd_kernels.h"
+#include "md/simd_force_kernel.h"
 
 namespace emdpa::md {
 
@@ -191,7 +188,7 @@ class ParallelNeighborListT {
   /// Row i's padded entry range in entries(): a multiple of
   /// padded_multiple(); padding slots hold i itself.
   const std::vector<std::uint32_t>& row_begin() const { return row_begin_; }
-  const std::vector<std::uint32_t>& entries() const { return entries_; }
+  const auto& entries() const { return entries_; }
 
   /// Directed (i,j) entries excluding padding, i.e. 2x the unordered pair
   /// count within cutoff+skin.
@@ -213,9 +210,10 @@ class ParallelNeighborListT {
   double fill_seconds_total() const { return fill_seconds_total_; }
 
  private:
-  /// Grows without value-initialising: a fill chunk's buffer gets one row's
-  /// slack before each row, and the sweep writes every slot it reads back,
-  /// so zeroing it would only touch pages for nothing.
+  /// Grows without value-initialising.  A fill chunk's hit buffer gets one
+  /// row's slack before each row and the sweep writes every slot it reads
+  /// back; the compaction writes every slot of the padded entries.  Zeroing
+  /// either would only touch pages for nothing.
   template <typename T>
   struct DefaultInitAllocator : std::allocator<T> {
     template <typename U>
@@ -230,7 +228,7 @@ class ParallelNeighborListT {
       ::new (static_cast<void*>(p)) U;
     }
   };
-  using HitBuffer =
+  using IndexBuffer =
       std::vector<std::uint32_t, DefaultInitAllocator<std::uint32_t>>;
 
   /// Rows of the fill sweep go out in chunks of this many cells (about 75
@@ -255,7 +253,7 @@ class ParallelNeighborListT {
   Real list_cutoff_sq_ = Real(0);
   std::vector<emdpa::Vec3<Real>> build_positions_;
   std::vector<std::uint32_t> row_begin_;   ///< n+1 padded CSR offsets
-  std::vector<std::uint32_t> entries_;     ///< padded neighbour indices
+  IndexBuffer entries_;                    ///< padded neighbour indices
   std::vector<std::uint32_t> row_count_;   ///< true (unpadded) counts
   std::uint64_t directed_entries_ = 0;
   std::uint64_t build_distance_tests_ = 0;
@@ -274,56 +272,33 @@ class ParallelNeighborListT {
   std::vector<std::uint32_t> stencil_axis_;  ///< per-axis wrapped cell indices
   std::vector<std::uint32_t> stencil_pop_;   ///< atoms per cell stencil
   std::vector<std::uint32_t> stencil_tmp_;   ///< separable-pass intermediate
-  std::vector<HitBuffer> fill_hits_;  ///< per fill chunk: its rows' hits
+  std::vector<IndexBuffer> fill_hits_;  ///< per fill chunk: its rows' hits
   /// Per atom: where its row sits in fill_hits_, (chunk << 32) | offset.
   std::vector<std::uint64_t> row_handle_;
 };
 
 /// Neighbour-list force kernel: the host fast path at large N.
 ///
-/// Same physics, ISA dispatch, determinism guarantees and coincident-atom
-/// caveat as SoaKernelT (see soa_kernel.h); PairStats count unordered pairs,
-/// with candidates bounded by the list size rather than N^2.  For
-/// Real != Acc the interface positions are narrowed once per evaluation and
-/// BOTH the list build and the lane math run on the same narrowed
-/// coordinates, so sp and mixed traverse identical lists.
+/// Same physics, determinism guarantees and coincident-atom caveat as
+/// SoaKernelT (see soa_kernel.h); PairStats count unordered pairs, with
+/// candidates bounded by the list size rather than N^2.  The list is built
+/// from the positions narrowed to Real, the coordinates the lanes see, so sp
+/// and mixed traverse identical lists.
 template <typename Real, typename Acc = Real>
-class NeighborListKernelT final : public ForceKernelT<Acc>,
+class NeighborListKernelT final : public SimdForceKernelT<Real, Acc>,
                                   public NeighborListControl {
  public:
-  struct Options {
+  struct Options : SimdKernelOptions {
     double skin = 0.3;
-    /// Pool to split the list build and atom rows over; nullptr runs serial.
-    ThreadPool* pool = nullptr;
-    /// Atom rows per parallel chunk.
-    std::size_t grain = 16;
     /// Displacement-staleness policy (kNeverRebuild is for tests only).
     SkinPolicy skin_policy = SkinPolicy::kHalfSkinDisplacement;
-    /// Force this instruction set; empty resolves EMDPA_SIMD, then the
-    /// fastest available (same seam as SoaKernelT::Options::isa).
-    std::optional<simd::SimdType> isa;
   };
 
   explicit NeighborListKernelT(Options options = {})
-      : list_(static_cast<Real>(options.skin), options.pool,
+      : SimdForceKernelT<Real, Acc>("neighbor-list-soa", options),
+        list_(static_cast<Real>(options.skin), options.pool,
               options.skin_policy),
-        pool_(options.pool),
-        grain_(options.grain),
-        isa_(simd_kernels::resolve_isa(options.isa)) {
-    const simd_kernels::KernelRows& table = simd_kernels::rows(isa_);
-    width_ = simd_kernels::width<Real>(table);
-    rows_fn_ = simd_kernels::list_rows<Real, Acc>(table);
-  }
-
-  std::string name() const override {
-    std::string name = std::string("neighbor-list-soa[") +
-                       simd::to_string(isa_) + ",w" + std::to_string(width_) +
-                       "," + precision_tag<Real, Acc>() + "]";
-    if (pool_ != nullptr) {
-      name += "[threads=" + std::to_string(pool_->size()) + "]";
-    }
-    return name;
-  }
+        rows_fn_(simd_kernels::list_rows<Real, Acc>(this->table())) {}
 
   Real skin() const { return list_.skin(); }
   std::uint64_t rebuilds() const { return list_.rebuilds(); }
@@ -336,14 +311,6 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
   /// Force the next compute() to rebuild the list (benchmarks use this to
   /// price the build; steady-state evaluation reuses the list).
   void invalidate() { list_.invalidate(); }
-
-  /// The instruction set the dispatcher selected for this instance, and the
-  /// lane count it executes per pack (runtime properties; see soa_kernel.h).
-  simd::SimdType isa() const { return isa_; }
-  std::size_t simd_width() const { return width_; }
-  static constexpr std::size_t block_width() {
-    return simd::block_lanes<Real>();
-  }
 
   // NeighborListControl — the type-erased seam md::Simulation drives.
   std::uint64_t list_rebuilds() const override { return list_.rebuilds(); }
@@ -382,109 +349,38 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
                 static_cast<Real>(cutoff));
   }
 
-  ForceResultT<Acc> compute(const std::vector<emdpa::Vec3<Acc>>& positions,
-                            const PeriodicBoxT<Acc>& box,
-                            const LjParamsT<Acc>& lj, Acc mass) override {
+  ForceResult compute(const std::vector<emdpa::Vec3d>& positions,
+                      const PeriodicBox& box, const LjParams& lj,
+                      double mass) override {
     const std::size_t n = positions.size();
-    ForceResultT<Acc> result;
-    result.accelerations.assign(n, {});
-    if (n == 0) return result;
+    if (n == 0) return {};
 
-    // The list build and the lane math both run in Real: narrow the box, LJ
-    // parameters and (when Real != Acc) the positions once, so sp and mixed
-    // traverse exactly the list their lane coordinates were tested against.
-    const PeriodicBoxT<Real> rbox(static_cast<Real>(box.edge()));
-    const LjParamsT<Real> ljr = lj.template cast<Real>();
-    const std::vector<emdpa::Vec3<Real>>* real_positions;
-    if constexpr (std::is_same_v<Real, Acc>) {
-      real_positions = &positions;
-    } else {
-      cast_positions_.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        cast_positions_[i] =
-            emdpa::Vec3<Real>{static_cast<Real>(positions[i].x),
-                              static_cast<Real>(positions[i].y),
-                              static_cast<Real>(positions[i].z)};
-      }
-      real_positions = &cast_positions_;
-    }
-
-    list_.ensure(*real_positions, rbox, ljr.cutoff);
+    const auto in = this->narrow(positions, box, lj, mass);
+    list_.ensure(in.positions, in.box, in.lj.cutoff);
     ++evaluations_;
-
-    if (!xs_ || xs_->size() < n) {
-      xs_.emplace(n);
-      ys_.emplace(n);
-      zs_.emplace(n);
-    }
-    row_pe_.resize(n);
-    row_virial_.resize(n);
-    row_hits_.resize(n);
-
-    // Pack current positions into SoA lanes, wrapping once so the fused
-    // reflection in the lane kernel is exact.
-    Real* xs = xs_->data();
-    Real* ys = ys_->data();
-    Real* zs = zs_->data();
-    auto pack = [&](std::size_t i_begin, std::size_t i_end) {
-      for (std::size_t i = i_begin; i < i_end; ++i) {
-        const emdpa::Vec3<Real> p = rbox.wrap((*real_positions)[i]);
-        xs[i] = p.x;
-        ys[i] = p.y;
-        zs[i] = p.z;
-      }
-    };
-
-    const Acc inv_mass = Acc(1) / mass;
-    const std::uint32_t* row_begin = list_.row_begin().data();
-    const std::uint32_t* entries = list_.entries().data();
+    const auto lanes = this->pack(in, n, Real(0));
 
     // The dispatched per-ISA row loop (kernel_rows.h): gather each padded
     // CSR sub-pack, masked LJ accumulate, lane-order reduce.
-    auto rows = [&](std::size_t i_begin, std::size_t i_end) {
-      rows_fn_(xs, ys, zs, row_begin, entries, rbox.edge(),
-               ljr.cutoff_squared(), ljr, inv_mass, i_begin, i_end,
-               result.accelerations.data(), row_pe_.data(), row_virial_.data(),
-               row_hits_.data());
-    };
-
-    if (pool_ != nullptr) {
-      pool_->parallel_for(0, n, 512, pack);
-      pool_->parallel_for(0, n, grain_, rows);
-    } else {
-      pack(0, n);
-      rows(0, n);
-    }
-
-    // Ordered reduction over the per-row partials: totals are independent of
-    // thread count and chunking, bit-identical run to run.
-    Acc total_pe{}, total_virial{};
-    std::uint64_t hits = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      total_pe += row_pe_[i];
-      total_virial += row_virial_[i];
-      hits += row_hits_[i];
-    }
-    result.potential_energy = total_pe;
-    result.virial = total_virial;
+    const std::uint32_t* row_begin = list_.row_begin().data();
+    const std::uint32_t* entries = list_.entries().data();
+    ForceResult result = this->sweep(
+        n, [&](std::size_t i_begin, std::size_t i_end,
+               emdpa::Vec3<Acc>* accelerations, Acc* row_pe, Acc* row_virial,
+               std::uint64_t* row_hits) {
+          rows_fn_(lanes.xs, lanes.ys, lanes.zs, row_begin, entries,
+                   in.box.edge(), in.lj.cutoff_squared(), in.lj, in.inv_mass,
+                   i_begin, i_end, accelerations, row_pe, row_virial,
+                   row_hits);
+        });
     result.stats.candidates = list_.directed_entries() / 2;  // unordered
-    result.stats.interacting = hits / 2;
     return result;
   }
 
  private:
   ParallelNeighborListT<Real> list_;
-  ThreadPool* pool_;
-  std::size_t grain_;
-  simd::SimdType isa_;
-  std::size_t width_;
   simd_kernels::ListRowsFn<Real, Acc> rows_fn_;
   std::uint64_t evaluations_ = 0;
-  // Scratch reused across steps.
-  std::optional<AlignedBuffer<Real, 64>> xs_, ys_, zs_;
-  std::vector<emdpa::Vec3<Real>> cast_positions_;  ///< Real != Acc only
-  std::vector<Acc> row_pe_, row_virial_;
-  std::vector<std::uint64_t> row_hits_;
 };
 
 using NeighborListKernel = NeighborListKernelT<double>;

@@ -1,19 +1,18 @@
 // Arithmetic precision of the host force kernels (--precision dp|sp|mixed).
 //
-// The SoA N^2 and neighbour-list kernels are templated on TWO real types:
-// `Real`, the type coordinates are packed in and lane math runs in, and
-// `Acc`, the type per-row lane totals are reduced into and the kernel's
-// public interface speaks:
+// Every SIMD kernel faces the double ForceKernel interface, and a precision
+// mode is only the pair of real types its kernel templates are instantiated
+// on (md/simd_force_kernel.h): `Real`, the type positions are narrowed to,
+// packed in and lane math runs in, and `Acc`, the type per-row lane totals
+// are reduced into before the results are widened back to double:
 //
 //   dp     <double, double>  the default; bit-compatible with the seed.
-//   sp     <float,  float>   the paper's device precision, end to end; runs
-//                            behind the double-facing ForceKernel interface
-//                            through the narrowing adapters below.
+//   sp     <float,  float>   the paper's device precision: lane math and
+//                            every accumulation in FP32.
 //   mixed  <float,  double>  FP32 lane math (full SIMD width on the hot
 //                            loop) with each row's lanes widened to FP64
 //                            before the cross-row reduction, so the global
-//                            sums do not accumulate float rounding.  The
-//                            kernel is natively double-facing: no adapter.
+//                            sums do not accumulate float rounding.
 #pragma once
 
 #include <string>

@@ -121,7 +121,7 @@ ForceResultT<Real> ReferenceKernelT<Real>::compute(
     }
   };
   if (pool_ != nullptr) {
-    pool_->parallel_for(0, n, grain_, rows);
+    pool_->parallel_for(0, n, kForceRowGrain, rows);
   } else {
     rows(0, n);
   }

@@ -38,8 +38,8 @@ template <typename Real>
 class ReferenceKernelT final : public ForceKernelT<Real> {
  public:
   explicit ReferenceKernelT(MinImageStrategy strategy = MinImageStrategy::kRound,
-                            ThreadPool* pool = nullptr, std::size_t grain = 16)
-      : strategy_(strategy), pool_(pool), grain_(grain) {}
+                            ThreadPool* pool = nullptr)
+      : strategy_(strategy), pool_(pool) {}
 
   std::string name() const override;
 
@@ -59,7 +59,6 @@ class ReferenceKernelT final : public ForceKernelT<Real> {
 
   MinImageStrategy strategy_;
   ThreadPool* pool_;
-  std::size_t grain_;
 };
 
 using ReferenceKernel = ReferenceKernelT<double>;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <type_traits>
 
 #include "core/error.h"
 #include "core/fault_injection.h"
@@ -11,7 +10,6 @@
 #include "md/checkpoint.h"
 #include "md/observables.h"
 #include "md/reference_kernel.h"
-#include "md/single_precision.h"
 #include "md/soa_kernel.h"
 
 namespace emdpa::md {
@@ -35,22 +33,8 @@ struct KernelBuild {
   std::size_t width = 1;
 };
 
-/// A SIMD kernel family's three precisions, after the factory pattern of
-/// ViterbiDecoderCpp's decoder_factory_t: build_family picks the member for
-/// the run's precision and build_simd_kernel fills its Options once.
-struct SoaFamily {
-  using Double = SoaKernel;
-  using Single = SingleSoaKernel;
-  using Mixed = SoaKernelMixed;
-};
-struct NeighborListFamily {
-  using Double = NeighborListKernel;
-  using Single = SingleNeighborListKernel;
-  using Mixed = NeighborListKernelMixed;
-};
-
 template <typename Kernel>
-KernelBuild build_simd_kernel(const Simulation::Options& options) {
+KernelBuild build_kernel(const Simulation::Options& options) {
   typename Kernel::Options o;
   o.pool = options.pool;
   o.isa = options.simd_isa;
@@ -62,36 +46,32 @@ KernelBuild build_simd_kernel(const Simulation::Options& options) {
   KernelBuild b;
   b.isa = kernel->isa();
   b.width = kernel->simd_width();
-  // The list kernels are the NeighborListControl seam; the sp adapter's is
-  // its float kernel.
-  if constexpr (requires { kernel->inner(); }) {
-    b.list_control = dynamic_cast<NeighborListControl*>(&kernel->inner());
-  } else {
-    b.list_control = dynamic_cast<NeighborListControl*>(kernel.get());
-  }
+  b.list_control = dynamic_cast<NeighborListControl*>(kernel.get());
   b.kernel = std::move(kernel);
   return b;
 }
 
-template <typename Family>
-KernelBuild build_family(const Simulation::Options& options) {
+/// A SIMD kernel template (SoaKernelT, NeighborListKernelT) at the run's
+/// precision: the mode picks the <Real, Acc> pair, nothing else.
+template <template <typename, typename> class Kernel>
+KernelBuild build_simd_kernel(const Simulation::Options& options) {
   switch (options.precision) {
     case PrecisionMode::kSingle:
-      return build_simd_kernel<typename Family::Single>(options);
+      return build_kernel<Kernel<float, float>>(options);
     case PrecisionMode::kMixed:
-      return build_simd_kernel<typename Family::Mixed>(options);
+      return build_kernel<Kernel<float, double>>(options);
     case PrecisionMode::kDouble:
       break;
   }
-  return build_simd_kernel<typename Family::Double>(options);
+  return build_kernel<Kernel<double, double>>(options);
 }
 
 KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
   switch (kind) {
     case SimKernel::kSoaN2:
-      return build_family<SoaFamily>(options);
+      return build_simd_kernel<SoaKernelT>(options);
     case SimKernel::kNeighborList:
-      return build_family<NeighborListFamily>(options);
+      return build_simd_kernel<NeighborListKernelT>(options);
     case SimKernel::kReference:
     case SimKernel::kCellList: {
       if (options.precision != PrecisionMode::kDouble) {
@@ -205,9 +185,10 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
                  checkpoint.step, options,
                  checkpoint.has_potential ? &checkpoint.potential : nullptr);
   if (checkpoint.config && !options.ignore_checkpoint_config) {
-    // The three knobs recorded in the checkpoint change the arithmetic of
-    // every subsequent step; resuming under different ones silently breaks
-    // the bitwise-resume guarantee, so any mismatch is fatal by default.
+    // The kernel and precision recorded in the checkpoint fix the arithmetic
+    // of every subsequent step; resuming under different ones silently breaks
+    // the bitwise-resume guarantee, so a mismatch is fatal by default.  The
+    // recorded ISA is not compared: every dispatched ISA gives the same bits.
     const CheckpointConfig resumed = sim.config();
     CheckpointConfig saved = *checkpoint.config;
     // Checkpoints of the retired slab-partitioned list build carry their
@@ -225,7 +206,6 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
     };
     compare("kernel", saved.kernel, resumed.kernel);
     compare("precision", saved.precision, resumed.precision);
-    compare("simd", saved.simd, resumed.simd);
     if (!mismatches.empty()) {
       throw RuntimeFailure(
           "checkpoint: run configuration mismatch on resume (" + mismatches +
@@ -250,8 +230,6 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
 ForceKernel& Simulation::active_kernel() {
   return composite_ ? *composite_ : *lj_kernel_;
 }
-
-std::string Simulation::kernel_name() const { return lj_kernel_->name(); }
 
 CheckpointConfig Simulation::config() const {
   return CheckpointConfig{to_string(kernel_kind_), to_string(precision_),

@@ -73,8 +73,9 @@ class Simulation {
     /// Results are bitwise identical at any thread count either way.
     ThreadPool* pool = nullptr;
     /// Numeric precision of the LJ fast path (md/precision.h): dp runs
-    /// double end to end, sp runs the float kernels behind a narrowing
-    /// adapter, mixed narrows the lane math but accumulates in double.
+    /// double end to end, sp narrows the inputs once and runs the lane math
+    /// and accumulation in float, mixed narrows the lane math but
+    /// accumulates in double.
     /// Only the SIMD kernels (kSoaN2 / kNeighborList, or kAuto which
     /// resolves to one of them) support non-dp; combining sp/mixed with
     /// kReference or kCellList throws at construction.
@@ -93,8 +94,9 @@ class Simulation {
     /// for the remainder of the run instead of aborting.
     bool degrade_to_reference = false;
     /// Resume normally fails loudly when the checkpoint records a different
-    /// kernel/precision/ISA than this run resolves to (the arithmetic would
-    /// silently change and break the bitwise-resume guarantee).  True skips
+    /// kernel or precision than this run resolves to (the arithmetic would
+    /// silently change and break the bitwise-resume guarantee; the recorded
+    /// ISA need not match, every ISA computes the same bits).  True skips
     /// the check — an explicit operator decision (--resume-force).
     bool ignore_checkpoint_config = false;
   };
@@ -113,9 +115,9 @@ class Simulation {
   /// checkpoints re-prime as before.
   ///
   /// When the checkpoint records its producing run's configuration (v3),
-  /// the resolved kernel/precision/ISA of this resume must match it; any
+  /// the resolved kernel and precision of this resume must match it; any
   /// mismatch throws RuntimeFailure unless Options::ignore_checkpoint_config
-  /// is set.  A recorded Langevin RNG state is held until the caller
+  /// is set.  The recorded ISA may differ: every ISA computes the same bits.  A recorded Langevin RNG state is held until the caller
   /// re-attaches a Langevin thermostat (set_thermostat), which then
   /// continues the checkpointed noise sequence instead of re-seeding.
   static Simulation resume(Checkpoint checkpoint, const Options& options);
@@ -128,8 +130,6 @@ class Simulation {
 
   /// The kernel kAuto resolved to (or the explicitly requested one).
   SimKernel kernel() const { return kernel_kind_; }
-  /// The driving LJ kernel's self-reported name (includes SIMD/thread info).
-  std::string kernel_name() const;
   /// Precision mode the run was configured with (Options::precision).
   PrecisionMode precision() const { return precision_; }
   /// Instruction set the fast-path kernel dispatched to at construction;
@@ -204,8 +204,8 @@ class Simulation {
              const Options& options, const double* restored_potential = nullptr);
   void prime();
   void rebuild_composite();
-  /// The arithmetic-determining configuration recorded in checkpoints
-  /// (resolved kernel, precision, dispatched ISA).
+  /// The configuration recorded in checkpoints (resolved kernel and
+  /// precision, which fix the arithmetic, and the dispatched ISA).
   CheckpointConfig config() const;
   StepEnergies step_once();
   void degrade_now();

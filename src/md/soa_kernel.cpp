@@ -1,111 +1,40 @@
 #include "md/soa_kernel.h"
 
-#include <string>
-
 namespace emdpa::md {
 
 template <typename Real, typename Acc>
 SoaKernelT<Real, Acc>::SoaKernelT(Options options)
-    : options_(options), isa_(simd_kernels::resolve_isa(options.isa)) {
-  const simd_kernels::KernelRows& table = simd_kernels::rows(isa_);
-  width_ = simd_kernels::width<Real>(table);
-  rows_fn_ = simd_kernels::soa_rows<Real, Acc>(table);
-}
+    : SimdForceKernelT<Real, Acc>("soa-simd", options),
+      rows_fn_(simd_kernels::soa_rows<Real, Acc>(this->table())) {}
 
 template <typename Real, typename Acc>
-std::string SoaKernelT<Real, Acc>::name() const {
-  std::string name = std::string("soa-simd[") + simd_name() + ",w" +
-                     std::to_string(simd_width()) + "," +
-                     precision_tag<Real, Acc>() + "][" +
-                     to_string(options_.strategy) + "]";
-  if (options_.pool != nullptr) {
-    name += "[threads=" + std::to_string(options_.pool->size()) + "]";
-  }
-  return name;
-}
-
-template <typename Real, typename Acc>
-void SoaKernelT<Real, Acc>::ensure_capacity(std::size_t padded,
-                                            std::size_t n) {
-  if (!xs_ || xs_->size() < padded) {
-    xs_.emplace(padded);
-    ys_.emplace(padded);
-    zs_.emplace(padded);
-  }
-  row_pe_.resize(n);
-  row_virial_.resize(n);
-  row_hits_.resize(n);
-}
-
-template <typename Real, typename Acc>
-ForceResultT<Acc> SoaKernelT<Real, Acc>::compute(
-    const std::vector<emdpa::Vec3<Acc>>& positions,
-    const PeriodicBoxT<Acc>& box, const LjParamsT<Acc>& lj, Acc mass) {
+ForceResult SoaKernelT<Real, Acc>::compute(
+    const std::vector<emdpa::Vec3d>& positions, const PeriodicBox& box,
+    const LjParams& lj, double mass) {
   const std::size_t n = positions.size();
-  ForceResultT<Acc> result;
-  result.accelerations.assign(n, {});
-  if (n == 0) return result;
+  if (n == 0) return {};
 
   // Pad to whole accumulation blocks (not packs): the padded layout, and so
-  // the accumulation order, is identical on every dispatched ISA.
-  constexpr std::size_t kBlock = block_width();
+  // the accumulation order, is identical on every dispatched ISA.  Padding
+  // columns sit far enough out that one reflection still leaves them beyond
+  // the cutoff, so their lanes never pass the range mask.
+  constexpr std::size_t kBlock = SoaKernelT::block_width();
   const std::size_t padded = (n + kBlock - 1) / kBlock * kBlock;
-  ensure_capacity(padded, n);
+  const auto in = this->narrow(positions, box, lj, mass);
+  const auto lanes =
+      this->pack(in, padded, Real(4) * (in.box.edge() + in.lj.cutoff));
 
-  // The lane math runs in Real: narrow the box and LJ parameters once (a
-  // no-op in dp) so sp and mixed share one code path bit for bit.
-  const PeriodicBoxT<Real> rbox(static_cast<Real>(box.edge()));
-  const LjParamsT<Real> ljr = lj.template cast<Real>();
-
-  // Pack into SoA lanes, narrowing then wrapping once so the fused
-  // reflection in the inner loop is exact (the hoisted part of every
-  // min-image strategy) on exactly the coordinates the lanes will see.
-  Real* xs = xs_->data();
-  Real* ys = ys_->data();
-  Real* zs = zs_->data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const emdpa::Vec3<Real> p = rbox.wrap(
-        emdpa::Vec3<Real>{static_cast<Real>(positions[i].x),
-                          static_cast<Real>(positions[i].y),
-                          static_cast<Real>(positions[i].z)});
-    xs[i] = p.x;
-    ys[i] = p.y;
-    zs[i] = p.z;
-  }
-  // Padding columns: far enough out that one reflection still leaves them
-  // beyond the cutoff, so their lanes never pass the range mask.
-  const Real sentinel = Real(4) * (rbox.edge() + ljr.cutoff);
-  for (std::size_t j = n; j < xs_->size(); ++j) {
-    xs[j] = ys[j] = zs[j] = sentinel;
-  }
-
-  const Acc inv_mass = Acc(1) / mass;
-  auto rows = [&](std::size_t row_begin, std::size_t row_end) {
-    rows_fn_(xs, ys, zs, padded, rbox.edge(), ljr.cutoff_squared(), ljr,
-             inv_mass, row_begin, row_end, result.accelerations.data(),
-             row_pe_.data(), row_virial_.data(), row_hits_.data());
-  };
-  if (options_.pool != nullptr) {
-    options_.pool->parallel_for(0, n, options_.grain, rows);
-  } else {
-    rows(0, n);
-  }
-
-  // Ordered reduction over the per-row partials: totals are independent of
-  // thread count and chunking, bit-identical run to run.
-  Acc pe{}, virial{};
-  std::uint64_t interacting = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    pe += row_pe_[i];
-    virial += row_virial_[i];
-    interacting += row_hits_[i];
-  }
-  result.potential_energy = pe;
-  result.virial = virial;
-  // The row sweep visits every pair from both ends; report unordered pairs.
+  ForceResult result = this->sweep(
+      n, [&](std::size_t i_begin, std::size_t i_end,
+             emdpa::Vec3<Acc>* accelerations, Acc* row_pe, Acc* row_virial,
+             std::uint64_t* row_hits) {
+        rows_fn_(lanes.xs, lanes.ys, lanes.zs, padded, in.box.edge(),
+                 in.lj.cutoff_squared(), in.lj, in.inv_mass, i_begin, i_end,
+                 accelerations, row_pe, row_virial, row_hits);
+      });
+  // The row sweep tests every pair from both ends; report unordered pairs.
   result.stats.candidates =
       static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) / 2;
-  result.stats.interacting = interacting / 2;
   return result;
 }
 

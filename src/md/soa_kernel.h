@@ -10,94 +10,39 @@
 //    the cutoff test and the force/energy accumulation are fused behind one
 //    lane mask (a blend), with an any-lane early-out per pack for the ~97%
 //    of batches with no interacting pair.
-//  * Runtime ISA dispatch: the row loop is compiled once per instruction
-//    set (md/simd_rows_*.cpp) and the constructor resolves which table to
-//    run — Options::isa, else EMDPA_SIMD, else the fastest this CPU
-//    supports.  Because rows accumulate in fixed blocks reduced in lane
-//    order, every ISA produces BITWISE IDENTICAL results (kernel_rows.h).
-//  * Precision seam: `Real` is the packed coordinate / lane-math type and
-//    `Acc` the interface/reduction type (md/precision.h) — <double,double>
-//    is the dp default, <float,float> the sp kernel behind the narrowing
-//    adapter, <float,double> the natively double-facing mixed kernel.
 //  * Min-image hoisted and fused: positions are wrapped into the box once at
-//    pack time, after which all four MinImageStrategy variants agree exactly
-//    (the property the reference-kernel tests assert), so every strategy
-//    runs the same branch-free single-reflection inner loop.  The strategy
-//    is kept for naming/API parity with ReferenceKernelT.
+//    pack time, after which every ReferenceKernelT min-image strategy agrees
+//    exactly (the property the reference-kernel tests assert), so the inner
+//    loop is one branch-free single reflection and the kernel has no
+//    strategy to choose.
 //  * Self-pair exclusion by distance, not index: the lane mask requires
 //    r2 > 0, which drops the i==j pair but ALSO any distinct pair of atoms
 //    at exactly coincident positions.  ReferenceKernelT only skips j==i and
 //    would return inf/NaN forces for such a pair, so on degenerate inputs
 //    forces and stats.interacting intentionally diverge; the bitwise-parity
 //    claim below is scoped to configurations with no coincident atoms.
-//  * Determinism: forces, PE and virial are accumulated per atom row and
-//    reduced in row order, so results are bit-identical run to run at ANY
-//    thread count (stronger than the per-chunk guarantee parallel_reduce
-//    gives).
+//  * ISA dispatch, the <Real, Acc> precision pair, the pack and the ordered
+//    per-row reduction are SimdForceKernelT's (md/simd_force_kernel.h):
+//    results are bitwise identical across dispatched ISAs and thread counts.
 #pragma once
 
-#include <optional>
-
-#include "core/aligned_buffer.h"
-#include "core/simd.h"
-#include "core/thread_pool.h"
-#include "md/force_kernel.h"
-#include "md/precision.h"
-#include "md/reference_kernel.h"
-#include "md/simd_kernels.h"
+#include "md/simd_force_kernel.h"
 
 namespace emdpa::md {
 
 template <typename Real, typename Acc = Real>
-class SoaKernelT final : public ForceKernelT<Acc> {
+class SoaKernelT final : public SimdForceKernelT<Real, Acc> {
  public:
-  struct Options {
-    MinImageStrategy strategy = MinImageStrategy::kRound;
-    /// Pool to split atom rows over; nullptr runs serial on the caller.
-    ThreadPool* pool = nullptr;
-    /// Atom rows per parallel chunk.
-    std::size_t grain = 16;
-    /// Force this instruction set (throws at construction when it cannot
-    /// run here); empty resolves EMDPA_SIMD, then the fastest available.
-    std::optional<simd::SimdType> isa;
-  };
+  using Options = SimdKernelOptions;
 
   explicit SoaKernelT(Options options = {});
-  explicit SoaKernelT(MinImageStrategy strategy)
-      : SoaKernelT(Options{strategy, nullptr, 16, {}}) {}
 
-  std::string name() const override;
-
-  MinImageStrategy strategy() const { return options_.strategy; }
-
-  /// The instruction set the dispatcher selected for this instance.
-  simd::SimdType isa() const { return isa_; }
-  const char* simd_name() const { return simd::to_string(isa_); }
-
-  /// SIMD lane count the dispatched kernel executes per pack — a runtime
-  /// property of the selected ISA, NOT the compile-time native width.
-  std::size_t simd_width() const { return width_; }
-
-  /// Lanes per accumulation block; rows are padded to this on every ISA.
-  static constexpr std::size_t block_width() {
-    return simd::block_lanes<Real>();
-  }
-
-  ForceResultT<Acc> compute(const std::vector<emdpa::Vec3<Acc>>& positions,
-                            const PeriodicBoxT<Acc>& box,
-                            const LjParamsT<Acc>& lj, Acc mass) override;
+  ForceResult compute(const std::vector<emdpa::Vec3d>& positions,
+                      const PeriodicBox& box, const LjParams& lj,
+                      double mass) override;
 
  private:
-  void ensure_capacity(std::size_t padded, std::size_t n);
-
-  Options options_;
-  simd::SimdType isa_;
-  std::size_t width_;
   simd_kernels::SoaRowsFn<Real, Acc> rows_fn_;
-  // Scratch reused across steps (one kernel instance drives a whole run).
-  std::optional<AlignedBuffer<Real, 64>> xs_, ys_, zs_;
-  std::vector<Acc> row_pe_, row_virial_;
-  std::vector<std::uint64_t> row_hits_;
 };
 
 using SoaKernel = SoaKernelT<double>;

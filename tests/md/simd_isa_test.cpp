@@ -12,7 +12,6 @@
 #include "core/simd_dispatch.h"
 #include "md/parallel_neighbor.h"
 #include "md/simd_kernels.h"
-#include "md/single_precision.h"
 #include "md/soa_kernel.h"
 #include "md/workload.h"
 
@@ -25,19 +24,8 @@ Workload melt_workload(std::size_t n_atoms = 128) {
   return make_lattice_workload(spec);
 }
 
-std::vector<Vec3<float>> to_float(const std::vector<Vec3d>& positions) {
-  std::vector<Vec3<float>> out(positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    out[i] = Vec3<float>{static_cast<float>(positions[i].x),
-                         static_cast<float>(positions[i].y),
-                         static_cast<float>(positions[i].z)};
-  }
-  return out;
-}
-
-template <typename Real>
-void expect_bitwise_equal(const ForceResultT<Real>& a,
-                          const ForceResultT<Real>& b, const char* what) {
+void expect_bitwise_equal(const ForceResult& a, const ForceResult& b,
+                          const char* what) {
   ASSERT_EQ(a.accelerations.size(), b.accelerations.size());
   for (std::size_t i = 0; i < a.accelerations.size(); ++i) {
     EXPECT_EQ(a.accelerations[i].x, b.accelerations[i].x) << what << " atom " << i;
@@ -156,17 +144,14 @@ TEST(SimdIsaParity, SingleAndMixedAlsoBitwiseIdenticalAcrossIsas) {
   // The block-accumulation argument is type-agnostic: it must hold for the
   // float lane paths too (16 lanes per block instead of 8).
   Workload w = melt_workload();
-  const auto positions_f = to_float(w.system.positions());
-  const PeriodicBoxF box_f(static_cast<float>(w.box.edge()));
-  const LjParamsF lj_f = LjParams{}.cast<float>();
   LjParams lj;
 
   const auto available = simd_kernels::available_isas();
   SoaKernelF::Options sp_base;
   sp_base.isa = available.front();
   SoaKernelF sp_reference(sp_base);
-  const ForceResultF sp_expected =
-      sp_reference.compute(positions_f, box_f, lj_f, 1.0f);
+  const ForceResult sp_expected =
+      sp_reference.compute(w.system.positions(), w.box, lj, 1.0);
   SoaKernelMixed::Options mx_base;
   mx_base.isa = available.front();
   SoaKernelMixed mx_reference(mx_base);
@@ -178,7 +163,7 @@ TEST(SimdIsaParity, SingleAndMixedAlsoBitwiseIdenticalAcrossIsas) {
     sp_options.isa = isa;
     SoaKernelF sp(sp_options);
     expect_bitwise_equal(sp_expected,
-                         sp.compute(positions_f, box_f, lj_f, 1.0f),
+                         sp.compute(w.system.positions(), w.box, lj, 1.0),
                          simd::to_string(isa));
     SoaKernelMixed::Options mx_options;
     mx_options.isa = isa;
@@ -196,7 +181,7 @@ TEST(PrecisionSeam, MixedAndSingleTrackDoubleWithinFloatError) {
   Workload w = melt_workload(256);
   LjParams lj;
   SoaKernel dp;
-  SingleSoaKernel sp;
+  SoaKernelF sp;
   SoaKernelMixed mixed;
   const ForceResult r_dp = dp.compute(w.system.positions(), w.box, lj, 1.0);
   const ForceResult r_sp = sp.compute(w.system.positions(), w.box, lj, 1.0);
@@ -251,8 +236,8 @@ TEST(PrecisionSeam, ListKernelsAgreeWithSoaPerPrecision) {
                 1e-12 * std::fabs(a.potential_energy));
   }
   {
-    SingleSoaKernel n2;
-    SingleNeighborListKernel list;
+    SoaKernelF n2;
+    NeighborListKernelF list;
     const ForceResult a = n2.compute(w.system.positions(), w.box, lj, 1.0);
     const ForceResult b = list.compute(w.system.positions(), w.box, lj, 1.0);
     EXPECT_EQ(a.stats.interacting, b.stats.interacting);

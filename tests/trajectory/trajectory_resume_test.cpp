@@ -16,6 +16,7 @@
 #include "core/crc32.h"
 #include "core/error.h"
 #include "core/thread_pool.h"
+#include "md/simd_kernels.h"
 #include "md/simulation.h"
 
 namespace emdpa::md {
@@ -275,6 +276,59 @@ TEST(TrajectoryResumeConfig, RetiredListTokenResumesAsNeighborList) {
     EXPECT_NE(std::string(e.what()).find("configuration mismatch"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(TrajectoryResumeConfig, ScalarCheckpointResumesBitwiseUnderEveryIsa) {
+  // Every dispatched ISA computes the same bits, so the ISA a checkpoint
+  // records is not part of the config check: a run saved under scalar
+  // resumes under any other ISA and continues bitwise equal to the run that
+  // kept going, at every precision.
+  ThreadPool pool(4);
+  constexpr int kTotalSteps = 120;
+  constexpr int kCheckpointStep = 60;
+  for (const PrecisionMode precision :
+       {PrecisionMode::kDouble, PrecisionMode::kSingle,
+        PrecisionMode::kMixed}) {
+    Simulation::Options options;
+    options.workload.n_atoms = 256;
+    options.kernel = SimKernel::kNeighborList;
+    options.precision = precision;
+    options.pool = &pool;
+    options.simd_isa = simd::SimdType::kScalar;
+
+    Simulation uninterrupted(options);
+    uninterrupted.run(kCheckpointStep);
+    std::stringstream saved;
+    uninterrupted.save(saved);
+    uninterrupted.run(kTotalSteps - kCheckpointStep);
+
+    for (const simd::SimdType isa : simd_kernels::available_isas()) {
+      if (isa == simd::SimdType::kScalar) continue;
+      const std::string what = std::string(to_string(precision)) +
+                               " resumed under " + simd::to_string(isa);
+      Simulation::Options resume_options = options;
+      resume_options.simd_isa = isa;
+      std::stringstream checkpoint(saved.str());
+      Simulation resumed = Simulation::resume(checkpoint, resume_options);
+      ASSERT_EQ(resumed.simd_isa(), isa) << what;
+      resumed.run(kTotalSteps - kCheckpointStep);
+
+      for (std::size_t i = 0; i < resumed.system().size(); ++i) {
+        ASSERT_EQ(resumed.system().positions()[i],
+                  uninterrupted.system().positions()[i])
+            << what << ": position diverged at atom " << i;
+        ASSERT_EQ(resumed.system().velocities()[i],
+                  uninterrupted.system().velocities()[i])
+            << what << ": velocity diverged at atom " << i;
+      }
+      EXPECT_EQ(resumed.last_energies().kinetic,
+                uninterrupted.last_energies().kinetic)
+          << what;
+      EXPECT_EQ(resumed.last_energies().potential,
+                uninterrupted.last_energies().potential)
+          << what;
+    }
   }
 }
 
