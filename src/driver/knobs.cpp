@@ -263,7 +263,7 @@ const Knob kKnobs[] = {
      .help = "resume from a checkpoint (PATH.prev if corrupt)",
      .field = field([](KnobTarget& t) { return &t.run->resume_path; })},
     {.flag = "--resume-force", .group = kResilience,
-     .help = "resume despite a kernel/precision/ISA mismatch",
+     .help = "resume despite a kernel/precision mismatch",
      .field = field([](KnobTarget& t) { return &t.run->resume_force; })},
     {.flag = "--degrade", .key = "degrade", .group = kResilience,
      .help = "fall back to the reference kernel on a list failure",

@@ -1,4 +1,4 @@
-// The evaluation driver the host SIMD force kernels share.
+// The force-evaluation code the host SIMD kernels share.
 //
 // SoaKernelT (md/soa_kernel.h) and NeighborListKernelT
 // (md/parallel_neighbor.h) differ only in which j columns a row sweeps:
