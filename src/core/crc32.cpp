@@ -34,10 +34,27 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+std::string crc_hex(std::uint32_t crc) {
+  char digits[16];
+  std::snprintf(digits, sizeof(digits), "%08x", crc);
+  return digits;
+}
+
+bool parse_crc_hex(std::string_view digits, std::uint32_t* crc) {
+  constexpr std::string_view kDigits = "0123456789abcdef";
+  if (digits.size() != 8) return false;
+  std::uint32_t value = 0;
+  for (const char c : digits) {
+    const std::size_t digit = kDigits.find(c);
+    if (digit == std::string_view::npos) return false;
+    value = (value << 4) | static_cast<std::uint32_t>(digit);
+  }
+  *crc = value;
+  return true;
+}
+
 std::string with_crc_footer(std::string body) {
-  char footer[24];
-  std::snprintf(footer, sizeof(footer), "crc %08x\n", crc32(body));
-  body += footer;
+  body += "crc " + crc_hex(crc32(body)) + "\n";
   return body;
 }
 
@@ -57,17 +74,8 @@ std::string strip_crc_footer(const std::string& content, const char* what) {
     throw RuntimeFailure(std::string(what) + ": malformed crc footer");
   }
   std::uint32_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    const char c = footer[4 + i];
-    std::uint32_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint32_t>(c - 'a' + 10);
-    } else {
-      throw RuntimeFailure(std::string(what) + ": malformed crc value");
-    }
-    stored = (stored << 4) | digit;
+  if (!parse_crc_hex(std::string_view(footer).substr(4, 8), &stored)) {
+    throw RuntimeFailure(std::string(what) + ": malformed crc value");
   }
   const std::uint32_t computed = crc32(body);
   if (computed != stored) {

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace emdpa {
 
@@ -20,6 +21,14 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 inline std::uint32_t crc32(const std::string& data, std::uint32_t seed = 0) {
   return crc32(data.data(), data.size(), seed);
 }
+
+/// A CRC as the 8 lowercase hex digits both on-disk framings use: the
+/// "crc XXXXXXXX" file footer and the WAL's "#crc=XXXXXXXX" line frame.
+std::string crc_hex(std::uint32_t crc);
+
+/// Parse exactly 8 lowercase hex digits (the crc_hex form); false on any
+/// other length or character.
+bool parse_crc_hex(std::string_view digits, std::uint32_t* crc);
 
 /// Append the standard integrity footer — a final "crc <8 hex digits>\n"
 /// line whose value covers every preceding byte — to a serialised body.

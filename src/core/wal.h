@@ -23,12 +23,9 @@
 // byte count — the classic WAL contract: a prefix of the history is always
 // recovered, never a corrupted suffix.
 //
-// Durability: append() fsyncs the file after every record, and rewrite()
-// (atomic segment rotation/compaction: temp file + fsync + rename) fsyncs
-// the containing directory after the rename so the commit survives power
-// loss, not just process death.  The fsync helpers are shared with
-// md::CheckpointManager, which has the same directory-durability
-// obligation.
+// Durability: append() fsyncs the file after every record; rewrite()
+// (atomic segment rotation/compaction) commits through core/durable_file.h,
+// so a rotation survives power loss, not just process death.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +33,6 @@
 #include <vector>
 
 namespace emdpa {
-
-/// fsync an existing file by path (open + fsync + close).  Throws
-/// RuntimeFailure on failure.  No-op on platforms without POSIX fsync.
-void fsync_file(const std::string& path);
-
-/// fsync the directory containing `path`, making a just-committed rename in
-/// it durable across power loss.  Throws RuntimeFailure on failure.
-void fsync_parent_directory(const std::string& path);
 
 /// What a replay recovered: every verifiable record in order, plus how much
 /// of a torn/corrupt tail was discarded.
@@ -76,11 +65,11 @@ class WalWriter {
   /// are unaffected (appends are strictly at the tail).
   void append(const std::string& payload);
 
-  /// Atomically replace the whole log with `records` — segment rotation:
-  /// the new segment is written to `<path>.tmp`, fsynced, renamed onto
-  /// `<path>`, and the directory is fsynced; the appender then continues on
-  /// the new segment.  A kill at any instant leaves either the old or the
-  /// new segment complete on disk.
+  /// Atomically replace the whole log with `records` — segment rotation
+  /// through commit_file (core/durable_file.h).  A kill at any instant
+  /// leaves either the old or the new segment complete on disk.  The
+  /// appender is reopened on every exit path, so appends continue on
+  /// whichever segment is at `<path>` even when the rotation throws.
   void rewrite(const std::vector<std::string>& records);
 
   /// Current on-disk size in bytes (rotation policies key off this).
@@ -90,6 +79,7 @@ class WalWriter {
   std::uint64_t appended() const { return appended_; }
 
  private:
+  /// (Re)open fd_ on the file now at path_, closing any previous fd.
   void open_append();
   void close_fd();
 

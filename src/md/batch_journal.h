@@ -34,8 +34,8 @@
 // for supervision; a `done` job whose completion marker is missing is
 // simply re-admitted and completes in one no-op slice.
 //
-// Rotation: the log is compacted (WalWriter::rewrite — atomic temp + rename
-// + directory fsync) once it grows past max_segment_bytes, replacing the
+// Rotation: the log is compacted (WalWriter::rewrite — one durable commit,
+// core/durable_file.h) once it grows past max_segment_bytes, replacing the
 // full history with one state snapshot per job that replays to the same
 // supervision state.
 //

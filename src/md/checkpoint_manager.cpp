@@ -1,75 +1,25 @@
 #include "md/checkpoint_manager.h"
 
-#include <filesystem>
 #include <fstream>
-#include <system_error>
+#include <sstream>
 
+#include "core/durable_file.h"
 #include "core/error.h"
 #include "core/fault_injection.h"
-#include "core/wal.h"
 
 namespace emdpa::md {
-
-namespace fs = std::filesystem;
 
 CheckpointManager::CheckpointManager(std::string path) : path_(std::move(path)) {
   EMDPA_REQUIRE(!path_.empty(), "checkpoint path must not be empty");
 }
 
 void CheckpointManager::save(const std::function<void(std::ostream&)>& writer) {
-  const std::string tmp = temp_path();
-  // Serialise to the side file.  Any failure from here on must leave the
-  // committed generations exactly as they were.
-  try {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw RuntimeFailure("checkpoint: cannot open '" + tmp + "' for writing");
-    }
-    writer(out);
-    if (fault::injected("md.checkpoint_io")) {
-      throw RuntimeFailure("checkpoint: injected EIO writing '" + tmp + "'");
-    }
-    out.flush();
-    if (!out) {
-      throw RuntimeFailure("checkpoint: write to '" + tmp + "' failed");
-    }
-    out.close();
-    // Durability, not just atomicity: the rename below publishes whatever
-    // the page cache holds, so the temp file's DATA must be on stable
-    // storage first or a power loss can commit a hole.
-    fsync_file(tmp);
-  } catch (...) {
-    std::error_code ignored;
-    fs::remove(tmp, ignored);
-    throw;
+  std::ostringstream out;
+  writer(out);
+  if (fault::injected("md.checkpoint_io")) {
+    throw RuntimeFailure("checkpoint: injected EIO writing '" + path_ + "'");
   }
-
-  // Commit: rotate latest -> previous, then promote the temp file.  Both
-  // renames are atomic; a crash between them leaves `.prev` plus the
-  // complete temp file, so at least one loadable generation survives.
-  std::error_code ec;
-  if (fs::exists(path_, ec)) {
-    fs::rename(path_, previous_path(), ec);
-    if (ec) {
-      throw RuntimeFailure("checkpoint: cannot rotate '" + path_ + "' to '" +
-                           previous_path() + "': " + ec.message());
-    }
-  }
-  fs::rename(tmp, path_, ec);
-  if (ec) {
-    throw RuntimeFailure("checkpoint: cannot commit '" + tmp + "' to '" + path_ +
-                         "': " + ec.message());
-  }
-  // The renames are atomic but not durable until the DIRECTORY is fsynced —
-  // a power loss can roll the directory back to pre-rename while the data
-  // blocks survive.  Injection site md.dir_fsync: the caller sees a failed
-  // save (and retries or pins); the previously committed generations stay
-  // loadable either way.
-  if (fault::injected("md.dir_fsync")) {
-    throw RuntimeFailure("checkpoint: injected EIO fsyncing directory of '" +
-                         path_ + "'");
-  }
-  fsync_parent_directory(path_);
+  commit_file(path_, std::move(out).str(), previous_path());
   ++saves_;
 }
 

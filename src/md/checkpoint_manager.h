@@ -2,31 +2,27 @@
 // corruption fallback.
 //
 // A checkpoint that can be destroyed by the crash it exists to survive is
-// worthless, so every write goes through the classic atomic protocol:
-//
-//   1. serialise to `<path>.tmp` (CRC-32 footer included — checkpoint.h),
-//      then fsync the temp file so its data is on stable storage,
-//   2. rotate the current `<path>` to `<path>.prev`,
-//   3. rename `<path>.tmp` onto `<path>` (atomic within a filesystem),
-//   4. fsync the containing directory so the renames are durable.
+// worthless, so save() serialises the whole generation in memory (CRC-32
+// footer included — checkpoint.h) and hands it to commit_file
+// (core/durable_file.h) with `<path>.prev` as the previous generation: temp
+// file + fsync, rotate `<path>` to `<path>.prev`, rename the temp file onto
+// `<path>`, fsync the directory.
 //
 // A SIGKILL at any instant leaves at least one complete, verifiable
 // generation on disk: mid-write kills leave the old `<path>` untouched, and
 // a kill between the two renames leaves `<path>.prev` (and the complete but
-// unpromoted temp file).  Steps 1 and 4 extend the guarantee from process
-// death to power loss: without the file fsync a rename can publish a hole,
-// and without the directory fsync the rename itself can be rolled back by
-// the journal replay of the FILESYSTEM's own crash recovery.  load()
-// verifies the latest generation's CRC and falls back to the previous one
-// when the latest is truncated, bit-flipped or missing — resuming slightly
-// earlier beats resuming from corruption.
+// unpromoted temp file).  The fsyncs extend the guarantee from process
+// death to power loss.  load() verifies the latest generation's CRC and
+// falls back to the previous one when the latest is truncated, bit-flipped
+// or missing — resuming slightly earlier beats resuming from corruption.
 //
 // Fault-injection sites (core/fault_injection.h): "md.checkpoint_io"
-// simulates an EIO during step 1 — save() throws RuntimeFailure after
-// cleaning up the temp file, leaving every committed generation intact;
-// "md.dir_fsync" simulates an EIO at step 4 — the just-renamed generation
-// is complete but its durability is unpromised, so save() reports failure
-// and callers retry at the next checkpoint interval.
+// simulates an EIO while writing, before anything reaches the disk — save()
+// throws RuntimeFailure and every committed generation stays intact;
+// "md.dir_fsync" (commit_file's directory fsync, shared by every durable
+// commit) fails after the renames — the new generation is complete but its
+// durability is unpromised, so save() reports failure and callers retry at
+// the next checkpoint interval.
 #pragma once
 
 #include <functional>
@@ -51,6 +47,7 @@ class CheckpointManager {
 
   const std::string& path() const { return path_; }
   std::string previous_path() const { return path_ + ".prev"; }
+  /// The temp file commit_file writes before renaming it onto path().
   std::string temp_path() const { return path_ + ".tmp"; }
 
   /// Atomically commit one checkpoint generation, serialised by `writer`

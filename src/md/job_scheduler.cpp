@@ -1,13 +1,16 @@
 #include "md/job_scheduler.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
+#include "core/crc32.h"
+#include "core/durable_file.h"
 #include "core/error.h"
 #include "core/fault_injection.h"
 #include "core/job_queue.h"
@@ -50,6 +53,27 @@ bool filesystem_safe(const std::string& name) {
 bool job_finished(JobStatus status) {
   return status == JobStatus::kCompleted || status == JobStatus::kFailed ||
          status == JobStatus::kQuarantined;
+}
+
+/// One whole marker field: an integer in decimal, or a double as
+/// std::hexfloat wrote it (non-finite energies of a blown-up job included).
+template <typename T>
+T parse_marker_number(const std::string& text) {
+  T value{};
+  const char* end = text.c_str() + text.size();
+  bool whole = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    char* stop = nullptr;
+    value = std::strtod(text.c_str(), &stop);
+    whole = stop == end;
+  } else {
+    const auto [stop, ec] = std::from_chars(text.c_str(), end, value);
+    whole = ec == std::errc() && stop == end;
+  }
+  if (text.empty() || !whole) {
+    throw RuntimeFailure("marker: malformed number '" + text + "'");
+  }
+  return value;
 }
 
 std::string describe(const RuntimeFailure& error) {
@@ -143,9 +167,13 @@ std::string JobScheduler::marker_path(const JobState& job) const {
 // Completion markers make batch resume idempotent: a finished job (success
 // OR isolated failure OR quarantine) is never re-run when the same manifest
 // is pointed at the same checkpoint directory again.  Plain key/value text,
-// one line each.
+// one line each in a fixed order, ending in the CRC-32 footer
+// (core/crc32.h), committed durably (core/durable_file.h).  A marker is a
+// cache of the journal's terminal record: one that cannot be committed, or
+// that later fails its CRC or a field's parse, counts as missing, and the
+// next run's reconciliation re-derives it from the journal.
 void JobScheduler::write_marker(const JobState& job) const {
-  std::ofstream out(marker_path(job), std::ios::trunc);
+  std::ostringstream out;
   out << "status " << to_string(job.result.status) << "\n";
   out << "steps " << job.result.steps_done << "\n";
   out << "attempts " << job.result.attempts << "\n";
@@ -157,43 +185,47 @@ void JobScheduler::write_marker(const JobState& job) const {
     std::replace(one_line.begin(), one_line.end(), '\n', ' ');
     out << "error " << one_line << "\n";
   }
+  try {
+    commit_file(marker_path(job), with_crc_footer(out.str()));
+  } catch (const RuntimeFailure&) {
+    // Same state as a kill before the marker landed; see above.
+  }
 }
 
 bool JobScheduler::load_marker(JobState& job) const {
-  std::ifstream in(marker_path(job));
-  if (!in) return false;
-  std::string line;
-  JobStatus status = JobStatus::kPending;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (key == "status") {
-      std::string value;
-      ls >> value;
-      if (value == "completed") status = JobStatus::kCompleted;
-      else if (value == "failed") status = JobStatus::kFailed;
-      else if (value == "quarantined") status = JobStatus::kQuarantined;
-    } else if (key == "steps") {
-      ls >> job.result.steps_done;
-    } else if (key == "attempts") {
-      ls >> job.result.attempts;
-    } else if (key == "kinetic" || key == "potential") {
-      // %a hexfloat: istream extraction cannot parse it, strtod can.
-      std::string value;
-      ls >> value;
-      const double parsed = std::strtod(value.c_str(), nullptr);
-      (key == "kinetic" ? job.result.final_energies.kinetic
-                        : job.result.final_energies.potential) = parsed;
-    } else if (key == "error") {
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-      job.result.error = rest;
+  const std::string path = marker_path(job);
+  JobResult parsed = job.result;
+  try {
+    std::istringstream in(
+        strip_crc_footer(read_file(path, "marker"), "marker"));
+    std::string line;
+    const auto field = [&](const std::string& key) {
+      if (!std::getline(in, line) || line.rfind(key + ' ', 0) != 0) {
+        throw RuntimeFailure("marker: expected '" + key + "' in '" + path +
+                             "'");
+      }
+      return line.substr(key.size() + 1);
+    };
+    const std::string status = field("status");
+    parsed.status = JobStatus::kPending;
+    for (const JobStatus s : {JobStatus::kCompleted, JobStatus::kFailed,
+                              JobStatus::kQuarantined}) {
+      if (status == to_string(s)) parsed.status = s;
     }
+    parsed.steps_done = parse_marker_number<long>(field("steps"));
+    parsed.attempts = parse_marker_number<int>(field("attempts"));
+    parsed.final_energies.kinetic =
+        parse_marker_number<double>(field("kinetic"));
+    parsed.final_energies.potential =
+        parse_marker_number<double>(field("potential"));
+    constexpr auto kEnd = std::istringstream::traits_type::eof();
+    parsed.error = in.peek() == kEnd ? "" : field("error");
+    if (in.peek() != kEnd) return false;  // anything after the last field
+  } catch (const RuntimeFailure&) {
+    return false;  // missing, or corrupt: the same to reconciliation
   }
-  if (!job_finished(status)) return false;  // torn or foreign file: re-run
-  job.result.status = status;
+  if (!job_finished(parsed.status)) return false;
+  job.result = std::move(parsed);
   return true;
 }
 
@@ -510,7 +542,7 @@ BatchResult JobScheduler::run() {
     if (from_journal != nullptr) reconcile(job, *from_journal);
 
     // A completion marker from a previous batch over the same checkpoint
-    // directory keeps its verdict.
+    // directory keeps its verdict; a corrupt one counts as missing.
     if (load_marker(job)) {
       job.result.resumed = true;
       continue;

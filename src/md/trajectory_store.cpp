@@ -10,6 +10,7 @@
 
 #include "core/crc32.h"
 #include "core/delta_codec.h"
+#include "core/durable_file.h"
 #include "core/error.h"
 #include "core/hexio.h"
 
@@ -159,14 +160,6 @@ std::string shape_of(const Checkpoint& cp) {
   return shape;
 }
 
-std::string read_file(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw RuntimeFailure(std::string(what) + ": cannot open '" + path + "'");
-  }
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
 }  // namespace
 
 TrajectoryStore::TrajectoryStore(TrajectoryStoreOptions options)
@@ -191,42 +184,16 @@ std::string TrajectoryStore::frame_path(const FrameRecord& frame) const {
   return (fs::path(options_.directory) / name).string();
 }
 
-void TrajectoryStore::write_file_atomic(const std::string& path,
-                                        const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      throw RuntimeFailure("trajectory store: cannot open '" + tmp +
-                           "' for writing");
-    }
-    out << content;
-    out.flush();
-    if (!out) {
-      std::error_code ignored;
-      fs::remove(tmp, ignored);
-      throw RuntimeFailure("trajectory store: write to '" + tmp + "' failed");
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code ignored;
-    fs::remove(tmp, ignored);
-    throw RuntimeFailure("trajectory store: cannot commit '" + tmp + "' to '" +
-                         path + "': " + ec.message());
-  }
-}
-
-void TrajectoryStore::persist_index() {
+void TrajectoryStore::persist_index(std::size_t first) {
   std::ostringstream body;
   body << kIndexMagic << ' ' << kIndexVersion << '\n';
-  for (const FrameRecord& f : frames_) {
+  for (std::size_t i = first; i < frames_.size(); ++i) {
+    const FrameRecord& f = frames_[i];
     body << "frame " << f.step << ' ' << (f.keyframe ? "key" : "delta") << ' '
          << f.bytes << '\n';
   }
-  write_file_atomic((fs::path(options_.directory) / "index").string(),
-                    with_crc_footer(body.str()));
+  commit_file((fs::path(options_.directory) / "index").string(),
+              with_crc_footer(body.str()));
 }
 
 void TrajectoryStore::load_index() {
@@ -325,7 +292,7 @@ void TrajectoryStore::append(const Checkpoint& cp) {
   }
   frame.bytes = content.size();
 
-  write_file_atomic(frame_path(frame), content);
+  commit_file(frame_path(frame), content);
   frames_.push_back(frame);
   stats_.bytes += frame.bytes;
   ++stats_.snapshots;
@@ -339,30 +306,37 @@ void TrajectoryStore::append(const Checkpoint& cp) {
   last_words_ = words;
   last_shape_ = shape;
 
-  evict_to_budget();
-  persist_index();
+  // Ring budget: the index stops listing the evicted chains before their
+  // files go, so a failed index commit never leaves it naming deleted
+  // frames (the next append retries the eviction).
+  const std::size_t evicted = frames_over_budget();
+  persist_index(evicted);
+  for (std::size_t i = 0; i < evicted; ++i) {
+    std::error_code ignored;
+    fs::remove(frame_path(frames_[i]), ignored);
+    stats_.bytes -= frames_[i].bytes;
+    ++stats_.evicted_frames;
+  }
+  frames_.erase(frames_.begin(),
+                frames_.begin() + static_cast<std::ptrdiff_t>(evicted));
 }
 
-void TrajectoryStore::evict_to_budget() {
-  if (options_.max_bytes == 0) return;
-  while (stats_.bytes > options_.max_bytes) {
+std::size_t TrajectoryStore::frames_over_budget() const {
+  if (options_.max_bytes == 0) return 0;
+  std::uint64_t bytes = stats_.bytes;
+  std::size_t evicted = 0;
+  while (bytes > options_.max_bytes) {
     // Oldest chain: the first frame (always a keyframe) through the last
     // frame before the next keyframe.  Never evict the newest chain — the
     // most recent snapshots must stay restorable no matter the budget.
-    std::size_t chain_end = 1;  // one past the chain's last frame
+    std::size_t chain_end = evicted + 1;  // one past the chain's last frame
     while (chain_end < frames_.size() && !frames_[chain_end].keyframe) {
       ++chain_end;
     }
-    if (chain_end >= frames_.size()) return;  // only the newest chain remains
-    for (std::size_t i = 0; i < chain_end; ++i) {
-      std::error_code ignored;
-      fs::remove(frame_path(frames_[i]), ignored);
-      stats_.bytes -= frames_[i].bytes;
-      ++stats_.evicted_frames;
-    }
-    frames_.erase(frames_.begin(),
-                  frames_.begin() + static_cast<std::ptrdiff_t>(chain_end));
+    if (chain_end >= frames_.size()) break;  // only the newest chain remains
+    for (; evicted < chain_end; ++evicted) bytes -= frames_[evicted].bytes;
   }
+  return evicted;
 }
 
 std::vector<long> TrajectoryStore::steps() const {

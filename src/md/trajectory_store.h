@@ -21,15 +21,18 @@
 //   ...
 //   <dir>/index                       one line per live frame + crc footer
 //
-// The index file is rewritten atomically (temp + rename) on every append,
-// so reopening a store — or seeking — never scans frame payloads: the
-// chain structure (which keyframe precedes which step) is O(1) to consult
-// once the index is loaded.
+// Every frame and the index are committed through commit_file
+// (core/durable_file.h: temp file + fsync + rename + directory fsync), so
+// they survive power loss, not just process death.  The index is rewritten
+// on every append, so reopening a store — or seeking — never scans frame
+// payloads: the chain structure (which keyframe precedes which step) is
+// O(1) to consult once the index is loaded.
 //
 // Ring eviction: when a max_bytes budget is set and exceeded, the OLDEST
 // whole chain (keyframe plus its dependent deltas) is deleted — never a
 // frame another live frame depends on, and never any part of the newest
-// chain, so the most recent snapshots always survive.
+// chain, so the most recent snapshots always survive.  The index that stops
+// listing a chain is committed before the chain's files are unlinked.
 //
 // Restoring step S loads S's chain keyframe, then applies the delta frames
 // up to S in order.  Any frame whose shape would change (atom count, rng /
@@ -70,8 +73,8 @@ class TrajectoryStore {
   explicit TrajectoryStore(TrajectoryStoreOptions options);
 
   /// Append one snapshot.  `cp.step` must exceed the last stored step.
-  /// Decides keyframe vs delta, writes the frame atomically, updates the
-  /// index, then applies the ring budget.
+  /// Decides keyframe vs delta, commits the frame, commits the index without
+  /// the chains the ring budget evicts, then deletes their files.
   void append(const Checkpoint& cp);
 
   /// Steps currently restorable, ascending.
@@ -98,10 +101,11 @@ class TrajectoryStore {
   };
 
   std::string frame_path(const FrameRecord& frame) const;
-  void write_file_atomic(const std::string& path, const std::string& content);
-  void persist_index();
+  /// Commit an index listing frames_[first..].
+  void persist_index(std::size_t first);
   void load_index();
-  void evict_to_budget();
+  /// How many leading frames (whole oldest chains) the ring budget evicts.
+  std::size_t frames_over_budget() const;
   /// Index into frames_ for `step`; throws when absent.
   std::size_t frame_index(long step) const;
 

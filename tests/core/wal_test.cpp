@@ -160,15 +160,5 @@ TEST_F(WalTest, ReopeningContinuesTheSameSegment) {
   EXPECT_EQ(replay.records[1], "from the second process");
 }
 
-TEST_F(WalTest, FsyncHelpersAcceptRealPaths) {
-  {
-    WalWriter writer(path_);
-    writer.append("payload");
-  }
-  EXPECT_NO_THROW(fsync_file(path_));
-  EXPECT_NO_THROW(fsync_parent_directory(path_));
-  EXPECT_THROW(fsync_file(path_ + ".does-not-exist"), RuntimeFailure);
-}
-
 }  // namespace
 }  // namespace emdpa

@@ -275,5 +275,30 @@ TEST_F(BatchJournalTest, InjectedWalIoOnRotationKeepsTheOldSegment) {
   EXPECT_EQ(replay.jobs.at("alpha").steps_done, 50);
 }
 
+TEST_F(BatchJournalTest, DirectoryFsyncFailureOnRotationKeepsTheAppenderLive) {
+  BatchJournal journal(path_, /*max_segment_bytes=*/64);
+  journal.open_for_append();
+  journal.record(admit("alpha", 0));
+  journal.record(slice("alpha", 50));
+
+  // The directory fsync fails after the rotated segment was renamed into
+  // place: the rotation reports failure, but the appender must follow the
+  // new segment rather than write to a closed or unlinked file.
+  {
+    fault::Plan plan;
+    fault::ScopedFault fault("md.dir_fsync", plan);
+    EXPECT_NO_THROW(journal.compact({admit("alpha", 0), slice("alpha", 50)}));
+  }
+  EXPECT_FALSE(journal.durable());
+
+  journal.record(done("alpha", 100));
+  EXPECT_TRUE(journal.durable());
+  EXPECT_EQ(journal.append_failures(), 1u);
+  const BatchJournal::Replay replay = BatchJournal(path_).replay();
+  EXPECT_EQ(replay.records, 3u);
+  EXPECT_EQ(replay.jobs.at("alpha").status, JobStatus::kCompleted);
+  EXPECT_EQ(replay.jobs.at("alpha").steps_done, 100);
+}
+
 }  // namespace
 }  // namespace emdpa::md

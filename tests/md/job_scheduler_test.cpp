@@ -360,5 +360,39 @@ TEST_F(JobSchedulerTest, QuarantineVerdictSurvivesAMissingMarker) {
   EXPECT_TRUE(fs::exists(fs::path(dir_) / "doomed.done"));
 }
 
+TEST_F(JobSchedulerTest, CorruptMarkerIsRederivedNotTrusted) {
+  const std::vector<JobSpec> manifest = {small_job("a", 0, 20)};
+  const BatchResult first = JobScheduler(manifest, options(10)).run();
+  ASSERT_EQ(first.count(JobStatus::kCompleted), 1u);
+
+  // Flip one hex digit of the recorded kinetic energy: a parseable but
+  // wrong value, which only the marker's CRC can catch.
+  const fs::path marker = fs::path(dir_) / "a.done";
+  std::string text;
+  {
+    std::ifstream in(marker, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::size_t line = text.find("kinetic 0x1.");
+  ASSERT_NE(line, std::string::npos);
+  char& digit = text[line + std::string("kinetic 0x1.").size()];
+  digit = digit == '0' ? '1' : '0';
+  {
+    std::ofstream out(marker, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+
+  // Treated as missing: the journal's `done` re-admits the job for one
+  // no-op slice, which re-derives the energies from the final checkpoint.
+  const BatchResult second = JobScheduler(manifest, options(10)).run();
+  EXPECT_EQ(second.jobs[0].status, JobStatus::kCompleted);
+  EXPECT_EQ(second.jobs[0].slices, 1u);
+  EXPECT_EQ(second.jobs[0].final_energies.kinetic,
+            first.jobs[0].final_energies.kinetic);
+  EXPECT_EQ(second.jobs[0].final_energies.potential,
+            first.jobs[0].final_energies.potential);
+}
+
 }  // namespace
 }  // namespace emdpa::md

@@ -325,5 +325,28 @@ TEST_F(TrajectoryStoreTest, ResumeFromSnapshotContinuesBitExactly) {
   }
 }
 
+TEST_F(TrajectoryStoreTest, FailedIndexCommitDeletesNoListedFrame) {
+  Simulation::Options options;
+  options.workload.n_atoms = 32;
+  options.kernel = SimKernel::kSoaN2;
+  Simulation sim(options);
+
+  // Every frame a keyframe and a one-byte budget: each append after the
+  // first evicts the chain before it.
+  TrajectoryStore store(store_options(1, /*max_bytes=*/1));
+  store.append(sim.snapshot());
+  const std::string first = serialized(sim.snapshot());
+
+  // A directory where the index's temp file goes makes the index commit
+  // fail on the evicting append.
+  fs::create_directory(fs::path(dir_) / "index.tmp");
+  sim.step();
+  EXPECT_THROW(store.append(sim.snapshot()), RuntimeFailure);
+
+  TrajectoryStore reopened(store_options(1, /*max_bytes=*/1));
+  ASSERT_EQ(reopened.steps(), std::vector<long>{0});
+  EXPECT_EQ(serialized(reopened.load_step(0)), first);
+}
+
 }  // namespace
 }  // namespace emdpa::md
