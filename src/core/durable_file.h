@@ -1,5 +1,5 @@
 // The one durable commit path for every file the engine replaces:
-// checkpoints, journal segment rotations, trajectory-store frames and index,
+// checkpoints, journal segment rotations, trajectory-store frames,
 // and batch completion markers.
 //
 // commit_file() replaces a file so that a kill or a power loss at any

@@ -29,6 +29,15 @@
 //   md.list_build      neighbour-list rebuild failure  -> degrade / abort
 //   md.checkpoint_io   EIO while writing a checkpoint  -> skip + retry next
 //                                                         interval
+//   md.dir_fsync       directory fsync of any durable commit fails after
+//                      its rename (core/durable_file.h) -> the commit
+//                      reports failure
+//   md.wal_io          EIO appending to or rotating the batch journal ->
+//                      the batch continues; replay reconciles the gap
+//   md.job_spawn       a batch job's Simulation fails to come up -> retry
+//                      with backoff, then quarantine
+//   md.manifest_parse  the batch manifest is unreadable -> typed failure
+//                      before any job is admitted
 //   md.step_perturb    one-ulp velocity kick before an exact step (keyed to
 //                      the absolute step number, not the hit counter, so a
 //                      replayed window re-fires identically) -> the known

@@ -234,20 +234,27 @@ BisectReport run_bisect(const BisectOptions& options) {
   SidePool pool_a(options.a.threads);
   SidePool pool_b(options.b.threads);
 
+  // --- Open both sides' stores; a stale recording is never reused.
+  const auto open_store = [&](const BisectSide& side) {
+    md::TrajectoryStoreOptions store_options;
+    store_options.directory = options.store_dir + "/" + side.label;
+    store_options.keyframe_interval = side.config.store_keyframe_every;
+    store_options.max_bytes = side.config.store_max_bytes;
+    return md::TrajectoryStore(store_options);
+  };
+  md::TrajectoryStore store_a = open_store(options.a);
+  md::TrajectoryStore store_b = open_store(options.b);
+  for (const md::TrajectoryStore* store : {&store_a, &store_b}) {
+    if (store->newest_step() >= 0) {
+      throw RuntimeFailure("bisect: '" + store->directory() +
+                           "' already holds a recording; pass a fresh "
+                           "--store-dir");
+    }
+  }
+
   // --- Record both sides, strictly sequentially (the fault registry is a
   // process singleton, so the two specs must never be armed at once).
-  md::TrajectoryStoreOptions store_options_a;
-  store_options_a.directory = options.store_dir + "/" + options.a.label;
-  store_options_a.keyframe_interval = options.a.config.store_keyframe_every;
-  store_options_a.max_bytes = options.a.config.store_max_bytes;
-  md::TrajectoryStore store_a(store_options_a);
   report.summary_a = record_side(options.a, pool_a.get(), store_a);
-
-  md::TrajectoryStoreOptions store_options_b;
-  store_options_b.directory = options.store_dir + "/" + options.b.label;
-  store_options_b.keyframe_interval = options.b.config.store_keyframe_every;
-  store_options_b.max_bytes = options.b.config.store_max_bytes;
-  md::TrajectoryStore store_b(store_options_b);
   report.summary_b = record_side(options.b, pool_b.get(), store_b);
 
   report.snapshots_per_side = store_a.stats().snapshots;

@@ -103,7 +103,7 @@ std::uint64_t ulp_distance(double a, double b);
 
 /// Run the full record → endpoint check → bisection → window walk pipeline.
 /// Throws RuntimeFailure on configuration errors (mismatched workloads,
-/// missing store directory, zero steps).
+/// missing or already used store directory, zero steps).
 BisectReport run_bisect(const BisectOptions& options);
 
 /// Human-readable, grep-stable report ("bisect: first divergence at step N"

@@ -84,7 +84,8 @@ struct RunConfig {
   /// Directory for the snapshot ring; empty = no store.
   std::string store_dir;
   /// Snapshot every N completed steps (plus step 0 and the final step).
-  /// 0 with a store_dir set still snapshots the endpoints.
+  /// 0 with a store_dir set still snapshots the endpoints.  A resumed run
+  /// takes no snapshot at or before its store's newest step.
   int store_every = 0;
   /// Every K-th snapshot is a full keyframe; the rest are XOR deltas.
   int store_keyframe_every = 8;

@@ -75,7 +75,9 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
 
   // Time-travel store: snapshots are pure observers (Simulation::snapshot
   // never touches the run), taken at the start state, every store_every
-  // steps, and at the final step.
+  // steps, and at the final step.  A resumed run continues bitwise, so the
+  // frames its store already holds are the states it would write: it takes
+  // no snapshot at or before the store's newest step.
   std::optional<TrajectoryStore> store;
   if (!config.store_dir.empty()) {
     TrajectoryStoreOptions store_options;
@@ -83,7 +85,9 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
     store_options.keyframe_interval = config.store_keyframe_every;
     store_options.max_bytes = config.store_max_bytes;
     store.emplace(std::move(store_options));
-    store->append(sim.snapshot());
+    if (resumed_from < 0 || sim.current_step() > store->newest_step()) {
+      store->append(sim.snapshot());
+    }
   }
   const long final_step = sim.current_step() + remaining;
 
@@ -102,7 +106,7 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
       result.energies.push_back(e);
       if (store && ((config.store_every > 0 && step % config.store_every == 0) ||
                     step == final_step)) {
-        if (!store->has_step(step)) store->append(sim.snapshot());
+        if (step > store->newest_step()) store->append(sim.snapshot());
       }
       if (watch && (watch->due(step) || step == final_step)) {
         watch->emit(*config.watch_stream, step, e, sim.system());

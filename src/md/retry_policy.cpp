@@ -7,6 +7,14 @@
 
 namespace emdpa::md {
 
+namespace {
+
+/// Backoff between attempts, in scheduler rounds (one round = one slice
+/// granted to some job).
+constexpr BackoffPolicy kBackoff{1.0, 16.0, 0x9E3779B97F4A7C15ull};
+
+}  // namespace
+
 std::uint64_t backoff_stream_for(const std::string& job_name) {
   // CRC-32 of the name: stable across runs, platforms and std::hash
   // implementations — the journal contract demands replayed delays match.
@@ -14,7 +22,7 @@ std::uint64_t backoff_stream_for(const std::string& job_name) {
 }
 
 RetryState::RetryState(const RetryPolicy& policy, const std::string& job_name)
-    : policy_(policy), backoff_(policy.backoff, backoff_stream_for(job_name)) {
+    : policy_(policy), backoff_(kBackoff, backoff_stream_for(job_name)) {
   EMDPA_REQUIRE(policy.max_retries >= 0,
                 "retry policy: max_retries must be non-negative");
 }

@@ -37,9 +37,6 @@ struct RetryPolicy {
   /// Retries after the first attempt (0 = fail immediately, the pre-
   /// supervision behaviour; N means at most N+1 attempts total).
   int max_retries = 0;
-  /// Backoff between attempts, in scheduler rounds (one round = one slice
-  /// granted to some job).
-  BackoffPolicy backoff{1.0, 16.0, 0x9E3779B97F4A7C15ull};
   /// Per-job wall-clock budget in seconds, measured over the slices this
   /// process ran for the job (0 = unlimited).
   double deadline_wall_seconds = 0.0;

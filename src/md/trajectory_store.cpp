@@ -1,6 +1,8 @@
 #include "md/trajectory_store.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -12,7 +14,6 @@
 #include "core/delta_codec.h"
 #include "core/durable_file.h"
 #include "core/error.h"
-#include "core/hexio.h"
 
 namespace emdpa::md {
 
@@ -22,8 +23,6 @@ namespace {
 
 constexpr const char* kFrameMagic = "emdpa-trajframe";
 constexpr int kFrameVersion = 1;
-constexpr const char* kIndexMagic = "emdpa-trajindex";
-constexpr int kIndexVersion = 1;
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -147,6 +146,13 @@ Checkpoint deserialize_words(const std::vector<std::uint8_t>& words,
   return cp;
 }
 
+std::string frame_name(long step, bool keyframe) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "frame_%012ld.%s", step,
+                keyframe ? "key" : "delta");
+  return name;
+}
+
 /// Anything that changes the word layout OR the arithmetic the snapshot was
 /// produced under: a change mid-run forces a fresh keyframe.
 std::string shape_of(const Checkpoint& cp) {
@@ -174,68 +180,63 @@ TrajectoryStore::TrajectoryStore(TrajectoryStoreOptions options)
     throw RuntimeFailure("trajectory store: cannot create directory '" +
                          options_.directory + "': " + ec.message());
   }
-  load_index();
+  scan_directory();
 }
 
 std::string TrajectoryStore::frame_path(const FrameRecord& frame) const {
-  char name[48];
-  std::snprintf(name, sizeof(name), "frame_%012ld.%s", frame.step,
-                frame.keyframe ? "key" : "delta");
-  return (fs::path(options_.directory) / name).string();
+  return (fs::path(options_.directory) / frame_name(frame.step, frame.keyframe))
+      .string();
 }
 
-void TrajectoryStore::persist_index(std::size_t first) {
-  std::ostringstream body;
-  body << kIndexMagic << ' ' << kIndexVersion << '\n';
-  for (std::size_t i = first; i < frames_.size(); ++i) {
-    const FrameRecord& f = frames_[i];
-    body << "frame " << f.step << ' ' << (f.keyframe ? "key" : "delta") << ' '
-         << f.bytes << '\n';
-  }
-  commit_file((fs::path(options_.directory) / "index").string(),
-              with_crc_footer(body.str()));
-}
-
-void TrajectoryStore::load_index() {
-  const std::string path = (fs::path(options_.directory) / "index").string();
+void TrajectoryStore::scan_directory() {
   std::error_code ec;
-  if (!fs::exists(path, ec)) return;  // fresh store
-  const std::string body =
-      strip_crc_footer(read_file(path, "trajectory index"), "trajectory index");
-  std::istringstream in(body);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kIndexMagic ||
-      version != kIndexVersion) {
-    throw RuntimeFailure("trajectory index: bad header in '" + path + "'");
-  }
-  std::string kw;
-  while (in >> kw) {
-    if (kw != "frame") {
-      throw RuntimeFailure("trajectory index: malformed entry in '" + path +
-                           "'");
+  for (fs::directory_iterator it(options_.directory, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    // Only the exact names frame_path() writes are frames; an `index` file
+    // from older recordings, `*.tmp` and anything else are ignored.
+    const std::string name = it->path().filename().string();
+    const std::size_t dot = name.find('.');
+    if (name.rfind("frame_", 0) != 0 || dot == std::string::npos ||
+        std::isdigit(static_cast<unsigned char>(name[6])) == 0) {
+      continue;
     }
     FrameRecord f;
-    std::string kind;
-    if (!(in >> f.step >> kind >> f.bytes) ||
-        (kind != "key" && kind != "delta")) {
-      throw RuntimeFailure("trajectory index: malformed entry in '" + path +
-                           "'");
+    f.keyframe = name.compare(dot, std::string::npos, ".key") == 0;
+    const auto parsed =
+        std::from_chars(name.data() + 6, name.data() + dot, f.step);
+    if (parsed.ptr != name.data() + dot ||
+        frame_name(f.step, f.keyframe) != name) {
+      continue;
     }
-    f.keyframe = kind == "key";
-    if (!frames_.empty() && f.step <= frames_.back().step) {
-      throw RuntimeFailure("trajectory index: steps out of order in '" + path +
-                           "'");
+    f.bytes = it->file_size(ec);
+    if (!ec) frames_.push_back(f);
+  }
+  if (ec) {
+    throw RuntimeFailure("trajectory store: cannot list '" +
+                         options_.directory + "': " + ec.message());
+  }
+  std::sort(frames_.begin(), frames_.end(),
+            [](const FrameRecord& a, const FrameRecord& b) {
+              return a.step < b.step;
+            });
+  for (std::size_t i = 1; i < frames_.size(); ++i) {
+    if (frames_[i].step == frames_[i - 1].step) {
+      throw RuntimeFailure("trajectory store: two frames for step " +
+                           std::to_string(frames_[i].step) + " in '" +
+                           options_.directory + "'");
     }
-    frames_.push_back(f);
-    stats_.bytes += f.bytes;
   }
-  if (!frames_.empty() && !frames_.front().keyframe) {
-    throw RuntimeFailure("trajectory index: first frame is not a keyframe");
+  // Deltas before the first keyframe are what an interrupted eviction
+  // leaves behind: their chain head is gone, so drop them.
+  std::size_t orphans = 0;
+  for (; orphans < frames_.size() && !frames_[orphans].keyframe; ++orphans) {
+    fs::remove(frame_path(frames_[orphans]), ec);
   }
+  frames_.erase(frames_.begin(),
+                frames_.begin() + static_cast<std::ptrdiff_t>(orphans));
+  for (const FrameRecord& f : frames_) stats_.bytes += f.bytes;
   // Chain position for subsequent appends; last_words_/last_shape_ are
   // rebuilt lazily on the first append (they need a frame payload read).
-  since_keyframe_ = 0;
   for (auto it = frames_.rbegin(); it != frames_.rend() && !it->keyframe; ++it) {
     ++since_keyframe_;
   }
@@ -292,7 +293,15 @@ void TrajectoryStore::append(const Checkpoint& cp) {
   }
   frame.bytes = content.size();
 
-  commit_file(frame_path(frame), content);
+  try {
+    commit_file(frame_path(frame), content);
+  } catch (const RuntimeFailure&) {
+    // A failed directory fsync leaves the frame in place; the ring does not
+    // list it, so neither may the directory.
+    std::error_code ignored;
+    fs::remove(frame_path(frame), ignored);
+    throw;
+  }
   frames_.push_back(frame);
   stats_.bytes += frame.bytes;
   ++stats_.snapshots;
@@ -306,37 +315,26 @@ void TrajectoryStore::append(const Checkpoint& cp) {
   last_words_ = words;
   last_shape_ = shape;
 
-  // Ring budget: the index stops listing the evicted chains before their
-  // files go, so a failed index commit never leaves it naming deleted
-  // frames (the next append retries the eviction).
-  const std::size_t evicted = frames_over_budget();
-  persist_index(evicted);
-  for (std::size_t i = 0; i < evicted; ++i) {
-    std::error_code ignored;
-    fs::remove(frame_path(frames_[i]), ignored);
-    stats_.bytes -= frames_[i].bytes;
-    ++stats_.evicted_frames;
-  }
-  frames_.erase(frames_.begin(),
-                frames_.begin() + static_cast<std::ptrdiff_t>(evicted));
-}
-
-std::size_t TrajectoryStore::frames_over_budget() const {
-  if (options_.max_bytes == 0) return 0;
-  std::uint64_t bytes = stats_.bytes;
+  // Ring budget: unlink whole oldest chains, keyframe first, then its deltas
+  // in step order, so a cut-short eviction leaves only leading orphan deltas.
+  // Never evict the newest chain — the most recent snapshots must stay
+  // restorable no matter the budget.
   std::size_t evicted = 0;
-  while (bytes > options_.max_bytes) {
-    // Oldest chain: the first frame (always a keyframe) through the last
-    // frame before the next keyframe.  Never evict the newest chain — the
-    // most recent snapshots must stay restorable no matter the budget.
+  while (options_.max_bytes != 0 && stats_.bytes > options_.max_bytes) {
     std::size_t chain_end = evicted + 1;  // one past the chain's last frame
     while (chain_end < frames_.size() && !frames_[chain_end].keyframe) {
       ++chain_end;
     }
     if (chain_end >= frames_.size()) break;  // only the newest chain remains
-    for (; evicted < chain_end; ++evicted) bytes -= frames_[evicted].bytes;
+    for (; evicted < chain_end; ++evicted) {
+      std::error_code ignored;
+      fs::remove(frame_path(frames_[evicted]), ignored);
+      stats_.bytes -= frames_[evicted].bytes;
+      ++stats_.evicted_frames;
+    }
   }
-  return evicted;
+  frames_.erase(frames_.begin(),
+                frames_.begin() + static_cast<std::ptrdiff_t>(evicted));
 }
 
 std::vector<long> TrajectoryStore::steps() const {
@@ -353,22 +351,10 @@ bool TrajectoryStore::has_step(long step) const {
   return it != frames_.end() && it->step == step;
 }
 
-long TrajectoryStore::nearest_at_or_before(long step) const {
-  const auto it = std::upper_bound(
-      frames_.begin(), frames_.end(), step,
-      [](long s, const FrameRecord& f) { return s < f.step; });
-  if (it == frames_.begin()) return -1;
-  return std::prev(it)->step;
-}
-
 Checkpoint TrajectoryStore::load_step(long step) const {
   const std::size_t target = frame_index(step);
-  std::size_t key = target;
+  std::size_t key = target;  // frames_ always starts with a keyframe
   while (key > 0 && !frames_[key].keyframe) --key;
-  if (!frames_[key].keyframe) {
-    throw RuntimeFailure("trajectory store: no keyframe precedes step " +
-                         std::to_string(step));
-  }
 
   std::ifstream in(frame_path(frames_[key]), std::ios::binary);
   if (!in) {

@@ -11,28 +11,30 @@
 // between keyframes are DELTA frames: the byte-level XOR of the snapshot's
 // fixed word serialisation against the previous snapshot's, run-length
 // encoded (core/delta_codec.h) — a few steps of drift touch mostly low
-// mantissa bytes, so deltas are a small fraction of a keyframe.  Every
-// frame, and the store index, ends in the same CRC-32 footer as the
-// checkpoint format; a single flipped bit anywhere fails restoration loudly.
+// mantissa bytes, so the XOR holds long zero runs.  Every
+// frame ends in the same CRC-32 footer as the checkpoint format; a single
+// flipped bit anywhere fails restoration loudly.
 //
 //   <dir>/frame_000000000120.key      full checkpoint text (chain head)
 //   <dir>/frame_000000000130.delta    XOR vs the step-120 snapshot
 //   <dir>/frame_000000000140.delta    XOR vs the step-130 snapshot
 //   ...
-//   <dir>/index                       one line per live frame + crc footer
 //
-// Every frame and the index are committed through commit_file
-// (core/durable_file.h: temp file + fsync + rename + directory fsync), so
-// they survive power loss, not just process death.  The index is rewritten
-// on every append, so reopening a store — or seeking — never scans frame
-// payloads: the chain structure (which keyframe precedes which step) is
-// O(1) to consult once the index is loaded.
+// The directory is its own index.  Opening a store lists the names and
+// sizes of its frame_<digits>.key|delta files (no payload is read) and
+// ignores every other name; two frames for one step throw.  Each append
+// commits exactly one file through commit_file (core/durable_file.h: temp
+// file + fsync + rename + directory fsync), so frames survive power loss,
+// not just process death.
 //
 // Ring eviction: when a max_bytes budget is set and exceeded, the OLDEST
-// whole chain (keyframe plus its dependent deltas) is deleted — never a
-// frame another live frame depends on, and never any part of the newest
-// chain, so the most recent snapshots always survive.  The index that stops
-// listing a chain is committed before the chain's files are unlinked.
+// whole chain (keyframe plus its dependent deltas) is unlinked, keyframe
+// first, then its deltas in step order — never a frame another live frame
+// depends on, and never any part of the newest chain, so the most recent
+// snapshots always survive.  An eviction cut short at any point leaves only
+// deltas before the first keyframe; the next open drops and unlinks them.
+// Unlinks are not fsynced: a chain that reappears after a power loss is
+// only over budget, and the next append evicts it again.
 //
 // Restoring step S loads S's chain keyframe, then applies the delta frames
 // up to S in order.  Any frame whose shape would change (atom count, rng /
@@ -49,7 +51,7 @@
 namespace emdpa::md {
 
 struct TrajectoryStoreOptions {
-  /// Directory the frames and index live in; created if absent.
+  /// Directory the frames live in; created if absent.
   std::string directory;
   /// Every K-th snapshot is a full keyframe; the K-1 between are deltas.
   int keyframe_interval = 8;
@@ -68,13 +70,13 @@ struct TrajectoryStoreStats {
 
 class TrajectoryStore {
  public:
-  /// Open (or create) the store at options.directory.  An existing valid
-  /// index resumes the ring where it left off; a corrupt index throws.
+  /// Open (or create) the store at options.directory.  Existing frames
+  /// resume the ring where it left off; two frames for one step throw.
   explicit TrajectoryStore(TrajectoryStoreOptions options);
 
   /// Append one snapshot.  `cp.step` must exceed the last stored step.
-  /// Decides keyframe vs delta, commits the frame, commits the index without
-  /// the chains the ring budget evicts, then deletes their files.
+  /// Decides keyframe vs delta, commits the frame, then unlinks the chains
+  /// the ring budget evicts.
   void append(const Checkpoint& cp);
 
   /// Steps currently restorable, ascending.
@@ -82,8 +84,8 @@ class TrajectoryStore {
 
   bool has_step(long step) const;
 
-  /// Largest stored step <= `step`, or -1 when none is.
-  long nearest_at_or_before(long step) const;
+  /// Newest stored step, or -1 when the store is empty.
+  long newest_step() const { return frames_.empty() ? -1 : frames_.back().step; }
 
   /// Restore the snapshot stored for exactly `step`: load its chain
   /// keyframe, apply the deltas up to `step`.  Throws RuntimeFailure on
@@ -101,11 +103,8 @@ class TrajectoryStore {
   };
 
   std::string frame_path(const FrameRecord& frame) const;
-  /// Commit an index listing frames_[first..].
-  void persist_index(std::size_t first);
-  void load_index();
-  /// How many leading frames (whole oldest chains) the ring budget evicts.
-  std::size_t frames_over_budget() const;
+  /// Rebuild frames_ from the directory listing (see the header comment).
+  void scan_directory();
   /// Index into frames_ for `step`; throws when absent.
   std::size_t frame_index(long step) const;
 

@@ -5,14 +5,17 @@
 // trajectory suite (trajectory_batch_test.cpp); these tests cover the
 // scheduling semantics.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/error.h"
 #include "core/fault_injection.h"
+#include "md/checkpoint.h"
 #include "md/job_scheduler.h"
 
 namespace emdpa::md {
@@ -392,6 +395,126 @@ TEST_F(JobSchedulerTest, CorruptMarkerIsRederivedNotTrusted) {
             first.jobs[0].final_energies.kinetic);
   EXPECT_EQ(second.jobs[0].final_energies.potential,
             first.jobs[0].final_energies.potential);
+}
+
+// Journal compaction.  With a segment bound of a few records the journal
+// compacts after nearly every slice; the verdicts, attempt counts, step
+// counts and final states must still match the same batch journalled with
+// the default bound, and so must a batch drained after a compaction and
+// rerun, whose replay reads the compacted segment.
+TEST_F(JobSchedulerTest, JournalCompactionChangesNoOutcome) {
+  JobSpec recovers = small_job("recovers", 0, 60);  // first spawn fails
+  recovers.max_retries = 1;
+  JobSpec doomed = poisoned_job("doomed");
+  doomed.max_retries = 1;
+  const std::vector<JobSpec> manifest = {recovers, doomed,
+                                         small_job("plain", 0, 60, 777)};
+
+  struct Outcome {
+    JobStatus status;
+    int attempts;
+    long steps;
+    std::string state;  ///< the job's checkpoint text; empty if it has none
+  };
+  const auto outcomes = [&](const BatchResult& batch, const std::string& dir) {
+    std::vector<Outcome> out;
+    for (const JobResult& job : batch.jobs) {
+      const fs::path ckpt = fs::path(dir) / (job.name + ".ckpt");
+      std::string state;
+      if (fs::exists(ckpt)) {
+        std::ostringstream text;
+        save_checkpoint(text, CheckpointManager(ckpt.string()).load().checkpoint);
+        state = text.str();
+      }
+      out.push_back({job.status, job.attempts, job.steps_done, state});
+    }
+    return out;
+  };
+  // Every compaction replaces the journal file, so a changed inode between
+  // two polls of stop_requested counts one.
+  const auto inode = [](const std::string& path) {
+    struct stat st {};
+    return ::stat(path.c_str(), &st) == 0 ? st.st_ino : ino_t{0};
+  };
+  const auto batch_options = [&](const std::string& dir, std::uint64_t bound,
+                                 int* compactions, bool drain) {
+    SchedulerOptions o = options(10);
+    o.checkpoint_dir = dir;
+    o.journal_max_bytes = bound;
+    if (compactions != nullptr) {
+      const std::string journal = dir + "/batch.wal";
+      o.stop_requested = [=, last = ino_t{0}]() mutable {
+        const ino_t now = inode(journal);
+        if (last != 0 && now != last) ++*compactions;
+        last = now;
+        return drain && *compactions > 0;
+      };
+    }
+    return o;
+  };
+  constexpr std::uint64_t kTinyBound = 256;
+  std::vector<Outcome> reference;
+  const auto expect_reference = [&](const std::vector<Outcome>& got,
+                                    const char* what) {
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].status, reference[i].status) << what << " job " << i;
+      EXPECT_EQ(got[i].attempts, reference[i].attempts) << what << " job " << i;
+      EXPECT_EQ(got[i].steps, reference[i].steps) << what << " job " << i;
+      EXPECT_TRUE(got[i].state == reference[i].state) << what << " job " << i;
+    }
+  };
+
+  const std::string reference_dir = dir_ + "/reference";
+  {
+    fault::ScopedFault spawn("md.job_spawn");
+    reference = outcomes(
+        JobScheduler(manifest,
+                     batch_options(reference_dir,
+                                   SchedulerOptions{}.journal_max_bytes,
+                                   nullptr, false))
+            .run(),
+        reference_dir);
+  }
+  ASSERT_EQ(reference[0].status, JobStatus::kCompleted);
+  ASSERT_EQ(reference[0].attempts, 1);
+  ASSERT_EQ(reference[1].status, JobStatus::kQuarantined);
+  ASSERT_EQ(reference[1].attempts, 2);
+  ASSERT_EQ(reference[2].status, JobStatus::kCompleted);
+  ASSERT_EQ(reference[2].attempts, 0);
+  ASSERT_FALSE(reference[2].state.empty());
+
+  // (a) One process, compacting throughout.
+  {
+    const std::string dir = dir_ + "/compacted";
+    int compactions = 0;
+    fault::ScopedFault spawn("md.job_spawn");
+    const BatchResult batch =
+        JobScheduler(manifest, batch_options(dir, kTinyBound, &compactions,
+                                             false))
+            .run();
+    EXPECT_GE(compactions, 3);
+    expect_reference(outcomes(batch, dir), "compacted");
+  }
+
+  // (b) Drained after the first compaction, then rerun to the end.
+  {
+    const std::string dir = dir_ + "/drained";
+    int compactions = 0;
+    fault::ScopedFault spawn("md.job_spawn");
+    const BatchResult first =
+        JobScheduler(manifest, batch_options(dir, kTinyBound, &compactions,
+                                             true))
+            .run();
+    ASSERT_TRUE(first.interrupted);
+    ASSERT_EQ(compactions, 1);
+    ASSERT_GT(first.count(JobStatus::kInterrupted), 0u);
+    const BatchResult second =
+        JobScheduler(manifest, batch_options(dir, kTinyBound, nullptr, false))
+            .run();
+    EXPECT_FALSE(second.interrupted);
+    expect_reference(outcomes(second, dir), "drained and rerun");
+  }
 }
 
 }  // namespace

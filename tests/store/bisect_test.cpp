@@ -163,5 +163,23 @@ TEST_F(BisectTest, MismatchedPairsAreRejected) {
   EXPECT_THROW(run_bisect(workload), RuntimeFailure);
 }
 
+// A second bisect into the same --store-dir must not append to (or bisect
+// against) the first one's recordings: it fails before either side runs,
+// naming the used directory.
+TEST_F(BisectTest, UsedStoreDirIsRejectedBeforeEitherSideRuns) {
+  const BisectOptions options = base_pair("reused");
+  ASSERT_FALSE(run_bisect(options).diverged);
+  try {
+    run_bisect(options);
+    FAIL() << "a second bisect into a used --store-dir must throw";
+  } catch (const RuntimeFailure& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(options.store_dir + "/a"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("fresh --store-dir"), std::string::npos)
+        << message;
+  }
+}
+
 }  // namespace
 }  // namespace emdpa::driver

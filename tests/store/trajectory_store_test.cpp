@@ -5,8 +5,9 @@
 // byte-identical to the snapshot the live run produced at that step — across
 // kernels, precisions, strides and keyframe intervals.  Plus the corruption
 // story (any single flipped bit on disk fails restoration loudly), ring
-// eviction, reopen, and the pure-observer guarantee (a store-enabled run is
-// bitwise identical to a store-disabled one).
+// eviction, reopen from the directory listing alone, a resumed run that
+// keeps recording into its store, and the pure-observer guarantee (a
+// store-enabled run is bitwise identical to a store-disabled one).
 #include "md/trajectory_store.h"
 
 #include <gtest/gtest.h>
@@ -16,10 +17,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
+#include "core/fault_injection.h"
 #include "core/random.h"
+#include "md/backend.h"
 #include "md/simulation.h"
 
 namespace emdpa::md {
@@ -44,6 +48,12 @@ class TrajectoryStoreTest : public ::testing::Test {
     options.directory = dir_;
     options.keyframe_interval = keyframe_interval;
     options.max_bytes = max_bytes;
+    return options;
+  }
+
+  static TrajectoryStoreOptions store_options_at(const std::string& dir) {
+    TrajectoryStoreOptions options;
+    options.directory = dir;
     return options;
   }
 
@@ -168,30 +178,6 @@ TEST_F(TrajectoryStoreTest, AnySingleBitFlipFailsRestorationLoudly) {
   }
 }
 
-TEST_F(TrajectoryStoreTest, CorruptIndexFailsReopenLoudly) {
-  {
-    Simulation::Options options;
-    options.workload.n_atoms = 32;
-    options.kernel = SimKernel::kSoaN2;
-    Simulation sim(options);
-    TrajectoryStore store(store_options(2));
-    record_run(sim, store, 4, 1);
-  }
-  const fs::path index = fs::path(dir_) / "index";
-  std::string content;
-  {
-    std::ifstream in(index, std::ios::binary);
-    content.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-  }
-  content[content.size() / 2] ^= 0x01;
-  {
-    std::ofstream out(index, std::ios::trunc | std::ios::binary);
-    out << content;
-  }
-  EXPECT_THROW(TrajectoryStore{store_options(2)}, RuntimeFailure);
-}
-
 TEST_F(TrajectoryStoreTest, ReopenResumesTheRing) {
   Simulation::Options options;
   options.workload.n_atoms = 64;
@@ -264,11 +250,11 @@ TEST_F(TrajectoryStoreTest, UnknownStepsFailLoudly) {
   options.kernel = SimKernel::kSoaN2;
   Simulation sim(options);
   TrajectoryStore store(store_options(2));
+  EXPECT_EQ(store.newest_step(), -1L);
   store.append(sim.snapshot());
   EXPECT_THROW(store.load_step(7), RuntimeFailure);
   EXPECT_FALSE(store.has_step(7));
-  EXPECT_EQ(store.nearest_at_or_before(7), 0L);
-  EXPECT_EQ(store.nearest_at_or_before(-1), -1L);
+  EXPECT_EQ(store.newest_step(), 0L);
 }
 
 // The pure-observer guarantee the whole design rests on: snapshotting (and
@@ -325,27 +311,180 @@ TEST_F(TrajectoryStoreTest, ResumeFromSnapshotContinuesBitExactly) {
   }
 }
 
-TEST_F(TrajectoryStoreTest, FailedIndexCommitDeletesNoListedFrame) {
+// The directory is the index: an append commits exactly one file, and an
+// evicting append only unlinks.  A site armed past any reachable hit counts
+// every durable commit without failing one.
+TEST_F(TrajectoryStoreTest, EveryAppendIsOneDurableCommit) {
   Simulation::Options options;
   options.workload.n_atoms = 32;
   options.kernel = SimKernel::kSoaN2;
   Simulation sim(options);
 
+  fault::Plan never;
+  never.first_hit = std::uint64_t{1} << 62;
+  fault::ScopedFault count("md.dir_fsync", never);
   // Every frame a keyframe and a one-byte budget: each append after the
   // first evicts the chain before it.
   TrajectoryStore store(store_options(1, /*max_bytes=*/1));
-  store.append(sim.snapshot());
-  const std::string first = serialized(sim.snapshot());
+  const auto live = record_run(sim, store, 6, 1);
 
-  // A directory where the index's temp file goes makes the index commit
-  // fail on the evicting append.
-  fs::create_directory(fs::path(dir_) / "index.tmp");
+  EXPECT_EQ(store.stats().evicted_frames, live.size() - 1);
+  EXPECT_EQ(fault::Registry::instance().stats("md.dir_fsync").hits,
+            live.size());
+  EXPECT_EQ(fault::Registry::instance().stats("md.dir_fsync").fires, 0u);
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().filename().string().rfind("frame_", 0), 0u)
+        << entry.path();
+  }
+}
+
+// An eviction killed after its first unlink leaves the oldest chain's
+// deltas without their keyframe; the next open drops and unlinks them.
+TEST_F(TrajectoryStoreTest, OrphanDeltasOfACutEvictionAreDroppedOnOpen) {
+  Simulation::Options options;
+  options.workload.n_atoms = 48;
+  options.kernel = SimKernel::kSoaN2;
+  Simulation sim(options);
+  std::map<long, std::string> live;
+  {
+    TrajectoryStore store(store_options(3));
+    live = record_run(sim, store, 10, 1);  // keyframes at 0, 3, 6, 9
+  }
+  ASSERT_TRUE(fs::remove(fs::path(dir_) / "frame_000000000000.key"));
+
+  TrajectoryStore reopened(store_options(3));
+  const std::vector<long> steps = reopened.steps();
+  ASSERT_FALSE(steps.empty());
+  EXPECT_EQ(steps.front(), 3L);
+  EXPECT_EQ(steps.back(), 10L);
+  for (const long step : steps) {
+    EXPECT_EQ(serialized(reopened.load_step(step)), live.at(step))
+        << "step " << step;
+  }
+  std::uint64_t bytes = 0;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    bytes += entry.file_size();
+  }
+  EXPECT_EQ(reopened.stats().bytes, bytes);
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "frame_000000000001.delta"));
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "frame_000000000002.delta"));
+}
+
+TEST_F(TrajectoryStoreTest, FailedFrameCommitLeavesTheEarlierSteps) {
+  Simulation::Options options;
+  options.workload.n_atoms = 32;
+  options.kernel = SimKernel::kSoaN2;
+  Simulation sim(options);
+  std::map<long, std::string> live;
+  TrajectoryStore store(store_options(2));
+  live = record_run(sim, store, 1, 1);  // steps 0 and 1
+
+  // A directory where the next frame's temp file goes makes its commit
+  // fail, whichever kind the frame is.
+  fs::create_directory(fs::path(dir_) / "frame_000000000002.key.tmp");
+  fs::create_directory(fs::path(dir_) / "frame_000000000002.delta.tmp");
   sim.step();
   EXPECT_THROW(store.append(sim.snapshot()), RuntimeFailure);
 
-  TrajectoryStore reopened(store_options(1, /*max_bytes=*/1));
-  ASSERT_EQ(reopened.steps(), std::vector<long>{0});
-  EXPECT_EQ(serialized(reopened.load_step(0)), first);
+  TrajectoryStore reopened(store_options(2));
+  ASSERT_EQ(reopened.steps(), (std::vector<long>{0, 1}));
+  for (const auto& [step, text] : live) {
+    EXPECT_EQ(serialized(reopened.load_step(step)), text) << "step " << step;
+  }
+}
+
+// Stores recorded with an `index` file still open: the file is neither
+// read nor written, whatever it holds.
+TEST_F(TrajectoryStoreTest, StrayIndexFileIsIgnored) {
+  Simulation::Options options;
+  options.workload.n_atoms = 32;
+  options.kernel = SimKernel::kSoaN2;
+  Simulation sim(options);
+  std::map<long, std::string> live;
+  {
+    TrajectoryStore store(store_options(2));
+    live = record_run(sim, store, 4, 1);
+  }
+  const fs::path index = fs::path(dir_) / "index";
+  for (const std::string content :
+       {std::string(), std::string("not an index\n"),
+        std::string("emdpa-trajindex 1\nframe 99 key 10\ncrc 00000000\n"),
+        std::string("\x00\xff\x01", 3)}) {
+    {
+      std::ofstream out(index, std::ios::trunc | std::ios::binary);
+      out << content;
+    }
+    TrajectoryStore reopened(store_options(2));
+    const std::vector<long> steps = reopened.steps();
+    ASSERT_EQ(steps.size(), live.size());
+    for (const long step : steps) {
+      EXPECT_EQ(serialized(reopened.load_step(step)), live.at(step))
+          << "step " << step;
+    }
+  }
+  TrajectoryStore reopened(store_options(2));
+  sim.step();
+  reopened.append(sim.snapshot());
+  std::ifstream in(index, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>()),
+            std::string("\x00\xff\x01", 3));
+}
+
+TEST_F(TrajectoryStoreTest, TwoFramesForOneStepFailReopenLoudly) {
+  Simulation::Options options;
+  options.workload.n_atoms = 32;
+  options.kernel = SimKernel::kSoaN2;
+  Simulation sim(options);
+  {
+    TrajectoryStore store(store_options(2));
+    record_run(sim, store, 2, 1);
+  }
+  fs::copy_file(fs::path(dir_) / "frame_000000000002.key",
+                fs::path(dir_) / "frame_000000000002.delta");
+  EXPECT_THROW(TrajectoryStore{store_options(2)}, RuntimeFailure);
+}
+
+// A resumed run keeps recording into the store its first leg wrote: it
+// takes no snapshot at or before the store's newest step, and every frame
+// it does add continues the uninterrupted recording bit for bit.
+TEST_F(TrajectoryStoreTest, ResumedRunKeepsRecordingIntoItsStore) {
+  const auto config = [&](const std::string& leg, int steps) {
+    RunConfig c;
+    c.workload.n_atoms = 256;
+    c.steps = steps;
+    c.store_dir = dir_ + "/" + leg + "/store";
+    c.store_every = 10;
+    c.checkpoint_path = dir_ + "/" + leg + "/c.ckpt";
+    c.checkpoint_every = 15;
+    return c;
+  };
+  HostParallelBackend backend;
+  backend.run(config("reference", 60));
+  const TrajectoryStore reference(store_options_at(dir_ + "/reference/store"));
+
+  // First legs of 30 and 45 steps leave c.ckpt at 30 and 45, and c.ckpt.prev
+  // at 15 and 30; each second leg resumes from step 30 and runs to 60.
+  for (const auto& [first_steps, resume_from] :
+       {std::pair<int, std::string>{30, "c.ckpt"}, {45, "c.ckpt.prev"}}) {
+    const std::string leg = "leg" + std::to_string(first_steps);
+    backend.run(config(leg, first_steps));
+    RunConfig second = config(leg, 60);
+    second.resume_path = dir_ + "/" + leg + "/" + resume_from;
+    const RunResult result = backend.run(second);
+    ASSERT_EQ(result.metadata.at("resumed_from_step"), 30.0) << leg;
+
+    const TrajectoryStore resumed(store_options_at(second.store_dir));
+    for (long step = 0; step <= 60; step += 10) {
+      EXPECT_TRUE(resumed.has_step(step)) << leg << " step " << step;
+    }
+    for (const long step : resumed.steps()) {
+      if (!reference.has_step(step)) continue;
+      EXPECT_EQ(serialized(resumed.load_step(step)),
+                serialized(reference.load_step(step)))
+          << leg << " step " << step;
+    }
+  }
 }
 
 }  // namespace
