@@ -18,16 +18,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : s_) word = sm.next();
 }
 
-Rng::State Rng::state() const {
-  return State{s_, cached_gaussian_, has_cached_gaussian_};
-}
-
-void Rng::restore(const State& state) {
-  s_ = state.s;
-  cached_gaussian_ = state.cached_gaussian;
-  has_cached_gaussian_ = state.has_cached_gaussian;
-}
-
 std::uint64_t Rng::next_u64() {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
   const std::uint64_t t = s_[1] << 17;

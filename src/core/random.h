@@ -34,21 +34,7 @@ class SplitMix64 {
 /// Xoshiro256** 1.0 — the project-wide PRNG.
 class Rng {
  public:
-  /// Complete generator state, snapshot-and-restore exact.  The cached
-  /// Box–Muller second deviate is part of it: dropping it on restore would
-  /// shift every subsequent gaussian() by one draw, which is exactly the
-  /// divergence checkpoint/resume must not introduce.
-  struct State {
-    std::array<std::uint64_t, 4> s{};
-    double cached_gaussian = 0.0;
-    bool has_cached_gaussian = false;
-  };
-
   explicit Rng(std::uint64_t seed);
-
-  /// Snapshot the full state; restore() continues the identical stream.
-  State state() const;
-  void restore(const State& state);
 
   /// Uniform 64-bit integer.
   std::uint64_t next_u64();

@@ -101,20 +101,12 @@ Checkpoint parse_body(std::istream& in, std::size_t body_bytes, int version) {
       have_pending = static_cast<bool>(in >> pending);
     }
     if (have_pending && pending == "rng") {
-      std::string kw, s0, s1, s2, s3, cached, flag;
-      if (!(in >> kw >> s0 >> s1 >> s2 >> s3 >> cached >> flag) ||
-          kw != "langevin" || (flag != "0" && flag != "1")) {
-        throw RuntimeFailure("checkpoint: malformed rng line");
-      }
-      Rng::State state;
-      state.s = {hexio::parse_u64(s0, "rng state"),
-                 hexio::parse_u64(s1, "rng state"),
-                 hexio::parse_u64(s2, "rng state"),
-                 hexio::parse_u64(s3, "rng state")};
-      state.cached_gaussian = hexio::parse_double(cached, "rng cached gaussian");
-      state.has_cached_gaussian = flag == "1";
-      cp.langevin_rng = state;
-      have_pending = static_cast<bool>(in >> pending);
+      // Only a thermostatted run wrote this line.  Resuming without its
+      // noise state would continue a different trajectory, so it is
+      // rejected rather than skipped.
+      throw RuntimeFailure(
+          "checkpoint: 'rng langevin' section is no longer supported "
+          "(thermostats were removed)");
     }
     if (version >= 4 && have_pending && pending == "listref") {
       std::size_t ref_n = 0;
@@ -184,14 +176,6 @@ void write_checkpoint_text(std::ostream& out, const Checkpoint& cp) {
   if (cp.config) {
     body << "config kernel " << cp.config->kernel << " precision "
          << cp.config->precision << " simd " << cp.config->simd << '\n';
-  }
-  if (cp.langevin_rng) {
-    const Rng::State& rng = *cp.langevin_rng;
-    body << "rng langevin " << hexio::format_u64(rng.s[0]) << ' '
-         << hexio::format_u64(rng.s[1]) << ' ' << hexio::format_u64(rng.s[2])
-         << ' ' << hexio::format_u64(rng.s[3]) << ' '
-         << hex(rng.cached_gaussian) << ' '
-         << (rng.has_cached_gaussian ? 1 : 0) << '\n';
   }
   if (cp.list_ref) {
     EMDPA_REQUIRE(cp.list_ref->size() == cp.system.size(),

@@ -8,7 +8,6 @@
 //   emdpa-checkpoint 4
 //   atoms <N> mass <m> box <edge> step <k> pe <pe>
 //   config kernel <kernel> precision <mode> simd <isa>     (optional line)
-//   rng langevin <s0> <s1> <s2> <s3> <cached> <flag>       (optional line)
 //   listref <N> cutoff <c>                                 (optional section)
 //   <x> <y> <z>                                            (N lines, if listref)
 //   <x> <y> <z> <vx> <vy> <vz> <ax> <ay> <az>              (N lines)
@@ -22,23 +21,24 @@
 // evaluation entirely — the stored accelerations ARE the primed state, the
 // property the bitwise resume guarantee rests on.
 //
-// The two optional v3 lines close the resume-correctness holes the v2
-// format left open:
+// The optional v3 `config` line closes the resume-correctness hole the v2
+// format left open.  It records the force kernel, precision mode and
+// dispatched SIMD ISA that produced the state.  Earlier formats stored none
+// of it, so resuming an `sp` run under different flags silently continued
+// with different arithmetic — bitwise-identical-looking files, divergent
+// trajectories.  Simulation::resume compares the recorded kernel and
+// precision against the resumed run's resolved ones and fails loudly on a
+// mismatch (Options::ignore_checkpoint_config / --resume-force overrides
+// explicitly).  The ISA is recorded for reports and bisect but not
+// compared: every dispatched ISA computes the same bits, so a run saved
+// under one resumes bitwise under any other.
 //
-//  * `config` records the force kernel, precision mode and dispatched SIMD
-//    ISA that produced the state.  Earlier formats stored none of it, so
-//    resuming an `sp` run under different flags silently continued with
-//    different arithmetic — bitwise-identical-looking files, divergent
-//    trajectories.  Simulation::resume compares the recorded kernel and
-//    precision against the resumed run's resolved ones and fails loudly on
-//    a mismatch (Options::ignore_checkpoint_config / --resume-force
-//    overrides explicitly).  The ISA is recorded for reports and bisect but
-//    not compared: every dispatched ISA computes the same bits, so a run
-//    saved under one resumes bitwise under any other.
-//  * `rng langevin` carries the full Xoshiro256** state of the Langevin
-//    thermostat — the four state words plus the cached Box–Muller second
-//    deviate — so a resumed thermostatted run continues the identical noise
-//    sequence instead of re-seeding and diverging.
+// v3 also defined an optional `rng langevin` line carrying a Langevin
+// thermostat's generator state.  Thermostats no longer exist, and resuming
+// such a run without its noise state would continue a different trajectory,
+// so a file carrying that line is rejected with a RuntimeFailure (and
+// CheckpointManager falls back to the previous generation).  No NVE run
+// ever wrote it.
 //
 // The optional v4 `listref` section carries the reference positions (and
 // combined cutoff+skin radius) the active neighbour list was built from.
@@ -57,7 +57,6 @@
 #include <string>
 #include <vector>
 
-#include "core/random.h"
 #include "md/box.h"
 #include "md/particle_system.h"
 
@@ -90,8 +89,6 @@ struct Checkpoint {
   /// written by Simulation::save; absent in raw-state saves and version 1-2
   /// files, which resume unverified as before).
   std::optional<CheckpointConfig> config;
-  /// Langevin thermostat RNG state, when one was attached at save time.
-  std::optional<Rng::State> langevin_rng;
   /// Neighbour-list reference positions (v4 `listref` section): the
   /// positions the active list was built from, widened to double (exact for
   /// the sp/mixed float lists).  Written by Simulation::snapshot() (and so
@@ -108,8 +105,8 @@ struct Checkpoint {
 void save_checkpoint(std::ostream& out, const ParticleSystem& system,
                      const PeriodicBox& box, long step, double potential = 0.0);
 
-/// Serialise a full checkpoint including the optional config, RNG and
-/// listref sections.  `cp.has_potential` is ignored: v2+ always stores pe.
+/// Serialise a full checkpoint including the optional config and listref
+/// sections.  `cp.has_potential` is ignored: v2+ always stores pe.
 void save_checkpoint(std::ostream& out, const Checkpoint& cp);
 
 /// Parse a checkpoint from `in`.  Accepts versions 1–4; versions >= 2 are

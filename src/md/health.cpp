@@ -45,7 +45,7 @@ void HealthMonitor::reset_baseline(const StepEnergies& energies) {
 
 void HealthMonitor::check(long step, const ParticleSystem& system,
                           const StepEnergies& energies, double dt,
-                          const std::string& kernel, bool conserves_energy) {
+                          const std::string& kernel) {
   ++checks_;
 
   if (policy_.check_finite) {
@@ -83,7 +83,7 @@ void HealthMonitor::check(long step, const ParticleSystem& system,
     throw NumericalFailure(msg, context_for(step, kernel));
   }
 
-  if (conserves_energy && baseline_total_) {
+  if (baseline_total_) {
     const double drift = std::fabs(energies.total() - *baseline_total_) /
                          std::max(std::fabs(*baseline_total_), 1.0);
     if (drift > policy_.max_energy_drift) {

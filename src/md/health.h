@@ -58,11 +58,10 @@ class HealthMonitor {
 
   /// Inspect the post-step state; throws NumericalFailure (context carrying
   /// `step` and `kernel`) on any violation.  `dt` converts velocities to
-  /// per-step displacements; `conserves_energy` false (thermostatted run)
-  /// skips the drift check.
+  /// per-step displacements.
   void check(long step, const ParticleSystem& system,
              const StepEnergies& energies, double dt,
-             const std::string& kernel, bool conserves_energy);
+             const std::string& kernel);
 
   /// Deadline guard for supervised batch jobs: throws DeadlineExceeded when
   /// `wall_seconds` exceeds a positive `wall_budget_seconds`, or when the

@@ -94,37 +94,6 @@ KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
   throw ContractViolation("unresolved SimKernel");
 }
 
-/// LJ kernel plus optional bonded/angle topologies behind the ForceKernel
-/// interface.
-class CompositeKernel final : public ForceKernel {
- public:
-  CompositeKernel(ForceKernel& lj, std::optional<BondTopology> bonds,
-                  std::optional<AngleTopology> angles)
-      : lj_(lj), bonds_(std::move(bonds)), angles_(std::move(angles)) {}
-
-  std::string name() const override { return lj_.name() + "+topology"; }
-
-  ForceResult compute(const std::vector<Vec3d>& positions,
-                      const PeriodicBox& box, const LjParams& lj,
-                      double mass) override {
-    ForceResult result = lj_.compute(positions, box, lj, mass);
-    if (bonds_) {
-      result.potential_energy +=
-          bonds_->accumulate_forces(positions, box, mass, result.accelerations);
-    }
-    if (angles_) {
-      result.potential_energy += angles_->accumulate_forces(
-          positions, box, mass, result.accelerations);
-    }
-    return result;
-  }
-
- private:
-  ForceKernel& lj_;
-  std::optional<BondTopology> bonds_;
-  std::optional<AngleTopology> angles_;
-};
-
 }  // namespace
 
 const char* to_string(SimKernel kernel) {
@@ -213,7 +182,6 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
           "(--resume-force / Options::ignore_checkpoint_config)");
     }
   }
-  sim.pending_langevin_rng_ = checkpoint.langevin_rng;
   if (checkpoint.list_ref && sim.list_control_ != nullptr) {
     // Reseed the neighbour list from the captured reference positions.  The
     // build is a pure function of (positions, box, cutoff), so this
@@ -225,10 +193,6 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
                                  checkpoint.list_ref_cutoff);
   }
   return sim;
-}
-
-ForceKernel& Simulation::active_kernel() {
-  return composite_ ? *composite_ : *lj_kernel_;
 }
 
 CheckpointConfig Simulation::config() const {
@@ -249,54 +213,8 @@ double Simulation::list_build_fill_seconds() const {
 }
 
 void Simulation::prime() {
-  last_energies_ = integrator_.prime(system_, box_, lj_, active_kernel());
+  last_energies_ = integrator_.prime(system_, box_, lj_, *lj_kernel_);
   ++force_evaluations_;
-}
-
-void Simulation::rebuild_composite() {
-  composite_ = std::make_unique<CompositeKernel>(*lj_kernel_, bonds_, angles_);
-  prime();  // accelerations must include the new forces
-}
-
-void Simulation::set_bonds(BondTopology bonds) {
-  bonds_ = std::move(bonds);
-  rebuild_composite();
-}
-
-void Simulation::set_angles(AngleTopology angles) {
-  angles_ = std::move(angles);
-  rebuild_composite();
-}
-
-void Simulation::set_thermostat(const BerendsenThermostat& thermostat) {
-  thermostat_ = thermostat;
-  langevin_.reset();
-  pending_langevin_rng_.reset();
-}
-
-void Simulation::set_thermostat(LangevinThermostat thermostat) {
-  langevin_ = std::move(thermostat);
-  thermostat_.reset();
-  if (pending_langevin_rng_) {
-    // Resumed run: continue the checkpointed noise sequence.  The freshly
-    // constructed thermostat's seed is discarded — the stream position is
-    // state, and re-seeding it would diverge from the uninterrupted run.
-    langevin_->restore_rng(*pending_langevin_rng_);
-    pending_langevin_rng_.reset();
-  }
-}
-
-void Simulation::clear_thermostat() {
-  thermostat_.reset();
-  langevin_.reset();
-  pending_langevin_rng_.reset();
-}
-
-MinimizeResult Simulation::minimize(const MinimizeOptions& options) {
-  const MinimizeResult result =
-      minimize_energy(system_, box_, lj_, active_kernel(), options);
-  prime();
-  return result;
 }
 
 StepEnergies Simulation::step_once() {
@@ -312,7 +230,7 @@ StepEnergies Simulation::step_once() {
     vx = std::nextafter(vx, std::numeric_limits<double>::infinity());
   }
   try {
-    last_energies_ = integrator_.step(system_, box_, lj_, active_kernel());
+    last_energies_ = integrator_.step(system_, box_, lj_, *lj_kernel_);
   } catch (RuntimeFailure& e) {
     // Annotate what this layer knows (the kernel threw mid-step, so the
     // failing step is the one about to complete) and let it unwind.
@@ -321,13 +239,10 @@ StepEnergies Simulation::step_once() {
     throw;
   }
   ++force_evaluations_;
-  if (thermostat_) thermostat_->apply(system_);
-  if (langevin_) langevin_->apply(system_, integrator_.dt());
   ++step_;
   if (health_ && health_->due(step_)) {
     health_->check(step_, system_, last_energies_, integrator_.dt(),
-                   to_string(kernel_kind_),
-                   /*conserves_energy=*/!thermostat_ && !langevin_);
+                   to_string(kernel_kind_));
   }
   return last_energies_;
 }
@@ -337,16 +252,9 @@ void Simulation::degrade_now() {
   list_control_ = nullptr;
   simd_isa_.reset();
   simd_width_ = 1;
-  // The composite (if any) holds a reference to the old kernel; rebuild it
-  // against the replacement before anything evaluates forces again.
   lj_kernel_ = std::make_unique<ReferenceKernel>();
   degraded_ = true;
-  if (bonds_ || angles_) {
-    rebuild_composite();  // re-primes internally
-  } else {
-    composite_.reset();
-    prime();
-  }
+  prime();
   // Fresh baseline: the reference kernel's summation order shifts the total
   // energy by rounding, and the pre-failure baseline may itself be drifted.
   if (health_) health_->reset_baseline(last_energies_);
@@ -401,7 +309,6 @@ Checkpoint Simulation::snapshot() const {
   // a degraded run records the reference kernel it actually executes) so a
   // resume under different flags fails loudly instead of silently diverging.
   cp.config = config();
-  if (langevin_) cp.langevin_rng = langevin_->rng_state();
   // Pure observer: capture the positions the live neighbour list was built
   // from, so a restore reseeds the identical list instead of rebuilding it
   // from the current state (which would perturb the continuing trajectory).

@@ -1,11 +1,11 @@
 // High-level simulation facade.
 //
 // Composes the library's pieces — workload, periodic box, LJ force kernel,
-// optional bonded topology, optional thermostat, velocity-Verlet — behind
+// velocity-Verlet in the NVE ensemble, the paper's only physics — behind
 // one object with step/run/observe/checkpoint operations.  The lower-level
 // pieces remain the public API for anyone who needs control (the device
-// backends use them directly); Simulation is the convenient front door the
-// examples and the host-parallel backend use.
+// backends and the quickstart example use them directly); Simulation is the
+// front door the host-parallel backend, the batch scheduler and bisect use.
 //
 // The force evaluation under the integrator is pluggable (SimKernel): the
 // scalar reference kernel, the O(N) cell-list kernel, the SoA/SIMD N^2
@@ -20,18 +20,13 @@
 #include <optional>
 
 #include "core/thread_pool.h"
-#include "md/angles.h"
 #include "md/backend.h"
-#include "md/bonded.h"
 #include "md/checkpoint.h"
 #include "md/force_kernel.h"
 #include "md/health.h"
 #include "md/integrator.h"
-#include "md/langevin.h"
-#include "md/minimize.h"
 #include "md/parallel_neighbor.h"
 #include "md/precision.h"
-#include "md/thermostat.h"
 #include "md/workload.h"
 
 namespace emdpa::md {
@@ -62,7 +57,7 @@ class Simulation {
     WorkloadSpec workload;
     LjParams lj{};
     double dt = 0.005;
-    /// Force-kernel strategy for every evaluation (prime, step, minimize).
+    /// Force-kernel strategy for every evaluation (prime and step).
     SimKernel kernel = SimKernel::kAuto;
     /// Neighbour-list skin radius (the list kernels only).
     double skin = 0.3;
@@ -117,9 +112,7 @@ class Simulation {
   /// When the checkpoint records its producing run's configuration (v3),
   /// the resolved kernel and precision of this resume must match it; any
   /// mismatch throws RuntimeFailure unless Options::ignore_checkpoint_config
-  /// is set.  The recorded ISA may differ: every ISA computes the same bits.  A recorded Langevin RNG state is held until the caller
-  /// re-attaches a Langevin thermostat (set_thermostat), which then
-  /// continues the checkpointed noise sequence instead of re-seeding.
+  /// is set.  The recorded ISA may differ: every ISA computes the same bits.
   static Simulation resume(Checkpoint checkpoint, const Options& options);
 
   const ParticleSystem& system() const { return system_; }
@@ -148,8 +141,7 @@ class Simulation {
   /// reports these as metadata keys list_build_bin_ms / list_build_fill_ms.
   double list_build_bin_seconds() const;
   double list_build_fill_seconds() const;
-  /// Integrator-driven LJ force evaluations so far (primes + steps; the
-  /// minimizer's internal probes are not counted).
+  /// Integrator-driven LJ force evaluations so far (primes + steps).
   std::uint64_t force_evaluations() const { return force_evaluations_; }
   /// True once a failure made the run fall back to the reference kernel
   /// (Options::degrade_to_reference).
@@ -159,23 +151,7 @@ class Simulation {
     return health_ ? health_->checks_run() : 0;
   }
 
-  /// Attach harmonic bonds (their forces are added to the LJ forces).
-  void set_bonds(BondTopology bonds);
-
-  /// Attach harmonic angles (forces added alongside bonds and LJ).
-  void set_angles(AngleTopology angles);
-
-  /// Attach (or replace) a thermostat applied after every step.  The two
-  /// flavours are mutually exclusive; setting one clears the other.
-  void set_thermostat(const BerendsenThermostat& thermostat);
-  void set_thermostat(LangevinThermostat thermostat);
-  void clear_thermostat();
-
-  /// Relax the positions toward a local energy minimum using the full force
-  /// field (LJ + any attached bonds), then re-prime the integrator.
-  MinimizeResult minimize(const MinimizeOptions& options = {});
-
-  /// Advance one step; returns the post-step energies (bonded PE included).
+  /// Advance one step; returns the post-step energies.
   StepEnergies step();
 
   /// Advance `steps` steps, invoking `observer` (if given) after each.
@@ -183,11 +159,10 @@ class Simulation {
   void run(int steps, const Observer& observer = {});
 
   /// Serialise snapshot() (checkpoint format v4: potential energy, CRC-32
-  /// footer, the resolved kernel/precision/ISA configuration, the Langevin
-  /// thermostat RNG state when one is attached, and the neighbour list's
-  /// reference positions).  Saving perturbs nothing: a run that saves every
-  /// step is bitwise identical to one that never saves, and a resume from
-  /// the file continues bit-exactly.
+  /// footer, the resolved kernel/precision/ISA configuration, and the
+  /// neighbour list's reference positions).  Saving perturbs nothing: a run
+  /// that saves every step is bitwise identical to one that never saves, and
+  /// a resume from the file continues bit-exactly.
   void save(std::ostream& out) const;
 
   /// Capture the full state as a Checkpoint without perturbing the run — the
@@ -203,13 +178,11 @@ class Simulation {
   Simulation(ParticleSystem system, PeriodicBox box, long step,
              const Options& options, const double* restored_potential = nullptr);
   void prime();
-  void rebuild_composite();
   /// The configuration recorded in checkpoints (resolved kernel and
   /// precision, which fix the arithmetic, and the dispatched ISA).
   CheckpointConfig config() const;
   StepEnergies step_once();
   void degrade_now();
-  ForceKernel& active_kernel();
 
   PeriodicBox box_;
   ParticleSystem system_;
@@ -225,14 +198,6 @@ class Simulation {
   /// otherwise.
   NeighborListControl* list_control_ = nullptr;
   std::unique_ptr<ForceKernel> lj_kernel_;
-  std::unique_ptr<ForceKernel> composite_;  ///< LJ + bonds/angles, if any
-  std::optional<BondTopology> bonds_;
-  std::optional<AngleTopology> angles_;
-  std::optional<BerendsenThermostat> thermostat_;
-  std::optional<LangevinThermostat> langevin_;
-  /// Checkpointed Langevin RNG state awaiting re-attachment of the
-  /// thermostat after a resume; consumed by set_thermostat(Langevin).
-  std::optional<Rng::State> pending_langevin_rng_;
   std::optional<HealthMonitor> health_;
   bool degrade_enabled_ = false;
   bool degraded_ = false;

@@ -59,9 +59,7 @@ double get_double(const std::vector<std::uint8_t>& in, std::size_t& pos) {
 std::vector<std::uint8_t> serialize_words(const Checkpoint& cp) {
   std::vector<std::uint8_t> out;
   const std::size_t n = cp.system.size();
-  out.reserve((3 + 9 * n + (cp.langevin_rng ? 6 : 0) +
-               (cp.list_ref ? 1 + 3 * n : 0)) *
-              8);
+  out.reserve((3 + 9 * n + (cp.list_ref ? 1 + 3 * n : 0)) * 8);
   put_double(out, cp.system.mass());
   put_double(out, cp.box_edge);
   put_double(out, cp.potential);
@@ -78,15 +76,6 @@ std::vector<std::uint8_t> serialize_words(const Checkpoint& cp) {
     put_double(out, a.x);
     put_double(out, a.y);
     put_double(out, a.z);
-  }
-  if (cp.langevin_rng) {
-    const Rng::State& rng = *cp.langevin_rng;
-    put_u64(out, rng.s[0]);
-    put_u64(out, rng.s[1]);
-    put_u64(out, rng.s[2]);
-    put_u64(out, rng.s[3]);
-    put_double(out, rng.cached_gaussian);
-    put_u64(out, rng.has_cached_gaussian ? 1 : 0);
   }
   if (cp.list_ref) {
     put_double(out, cp.list_ref_cutoff);
@@ -123,14 +112,6 @@ Checkpoint deserialize_words(const std::vector<std::uint8_t>& words,
                                     get_double(words, pos),
                                     get_double(words, pos)};
   }
-  if (shape.langevin_rng) {
-    Rng::State rng;
-    rng.s = {get_u64(words, pos), get_u64(words, pos), get_u64(words, pos),
-             get_u64(words, pos)};
-    rng.cached_gaussian = get_double(words, pos);
-    rng.has_cached_gaussian = get_u64(words, pos) != 0;
-    cp.langevin_rng = rng;
-  }
   if (shape.list_ref) {
     cp.list_ref_cutoff = get_double(words, pos);
     std::vector<emdpa::Vec3d> ref(n);
@@ -157,7 +138,6 @@ std::string frame_name(long step, bool keyframe) {
 /// produced under: a change mid-run forces a fresh keyframe.
 std::string shape_of(const Checkpoint& cp) {
   std::string shape = std::to_string(cp.system.size());
-  shape += cp.langevin_rng ? "+rng" : "-rng";
   shape += cp.list_ref ? "+ref" : "-ref";
   if (cp.config) {
     shape += '/' + cp.config->kernel + '/' + cp.config->precision + '/' +

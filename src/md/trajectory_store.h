@@ -37,7 +37,7 @@
 // only over budget, and the next append evicts it again.
 //
 // Restoring step S loads S's chain keyframe, then applies the delta frames
-// up to S in order.  Any frame whose shape would change (atom count, rng /
+// up to S in order.  Any frame whose shape would change (atom count,
 // listref presence, recorded config) forces a keyframe at append time, so
 // every chain has one fixed word layout.
 #pragma once

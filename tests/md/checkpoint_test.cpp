@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -8,10 +10,13 @@
 #include "core/crc32.h"
 #include "core/error.h"
 #include "md/checkpoint.h"
+#include "md/checkpoint_manager.h"
 #include "md/workload.h"
 
 namespace emdpa::md {
 namespace {
+
+namespace fs = std::filesystem;
 
 /// v2+ files end in a CRC-32 footer over everything before it; hand-written
 /// fixtures need a valid one to reach the parser under test.
@@ -171,16 +176,16 @@ TEST(Checkpoint, EmptySystemRoundTrips) {
   EXPECT_EQ(cp.step, 7);
 }
 
-// --- v3: optional run-configuration and Langevin RNG sections ------------
+// --- v3: optional run-configuration section; legacy RNG section ----------
 
 TEST(Checkpoint, RawSaveRecordsNoConfigOrRng) {
   // The raw state overload has no configuration to record; the optional
   // sections stay absent so old callers keep their exact behaviour.
   std::stringstream stream;
   save_checkpoint(stream, sample_system(), PeriodicBox(5.5), 1);
+  EXPECT_EQ(stream.str().find("\nrng "), std::string::npos);
   const Checkpoint cp = load_checkpoint(stream);
   EXPECT_FALSE(cp.config.has_value());
-  EXPECT_FALSE(cp.langevin_rng.has_value());
 }
 
 TEST(Checkpoint, ConfigSectionRoundTrips) {
@@ -203,31 +208,53 @@ TEST(Checkpoint, ConfigSectionRoundTrips) {
   EXPECT_DOUBLE_EQ(cp.potential, -123.456);
 }
 
-TEST(Checkpoint, LangevinRngSectionRoundTripsBitExact) {
-  Checkpoint original;
-  original.system = sample_system();
-  original.box_edge = 5.5;
-  original.step = 3;
-  Rng::State rng;
-  rng.s = {0xdeadbeefcafebabeull, 0x0123456789abcdefull,
-           0xffffffffffffffffull, 0x1ull};
-  rng.cached_gaussian = -0.73205080756887729;  // arbitrary, not exact binary
-  rng.has_cached_gaussian = true;
-  original.langevin_rng = rng;
+/// A v4 file as a thermostatted run used to write it: CRC-valid, with a
+/// well-formed `rng langevin` line between the config line and the atoms.
+std::string legacy_rng_checkpoint(long step) {
+  return with_crc_footer(
+      "emdpa-checkpoint 4\n"
+      "atoms 1 mass 0x1p+0 box 0x1p+2 step " + std::to_string(step) +
+      " pe 0x0p+0\n"
+      "config kernel reference precision dp simd none\n"
+      "rng langevin deadbeefcafebabe 0123456789abcdef ffffffffffffffff "
+      "0000000000000001 -0x1.76cf5d0b09955p-1 1\n"
+      "0 0 0 0 0 0 0 0 0\n");
+}
 
-  std::stringstream stream;
-  save_checkpoint(stream, original);
-  const Checkpoint cp = load_checkpoint(stream);
+TEST(Checkpoint, LangevinRngSectionIsRejected) {
+  // Thermostats are gone; resuming without the recorded noise state would
+  // continue a different trajectory, so the section fails typed instead of
+  // being skipped.
+  std::stringstream stream(legacy_rng_checkpoint(3));
+  try {
+    load_checkpoint(stream);
+    FAIL() << "a checkpoint carrying an rng section must not load";
+  } catch (const RuntimeFailure& e) {
+    EXPECT_STREQ(e.what(),
+                 "checkpoint: 'rng langevin' section is no longer supported "
+                 "(thermostats were removed)");
+  }
 
-  ASSERT_TRUE(cp.langevin_rng.has_value());
-  EXPECT_EQ(cp.langevin_rng->s, rng.s);
-  EXPECT_EQ(cp.langevin_rng->cached_gaussian, rng.cached_gaussian);
-  EXPECT_TRUE(cp.langevin_rng->has_cached_gaussian);
+  // CheckpointManager treats it like any other unloadable generation.
+  const fs::path path =
+      fs::path(::testing::TempDir()) / "ckpt_legacy_rng_section";
+  fs::remove(path.string() + ".prev");
+  CheckpointManager manager(path.string());
+  manager.save(sample_system(), PeriodicBox(5.5), 2);
+  manager.save(sample_system(), PeriodicBox(5.5), 3);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << legacy_rng_checkpoint(3);
+  const CheckpointLoad loaded = manager.load();
+  EXPECT_TRUE(loaded.used_fallback);
+  EXPECT_EQ(loaded.checkpoint.step, 2);
+  EXPECT_EQ(loaded.source_path, manager.previous_path());
+  fs::remove(path);
+  fs::remove(path.string() + ".prev");
 }
 
 TEST(Checkpoint, V2WithoutOptionalSectionsStillLoads) {
-  // A pre-v3 checkpoint (no config, no rng lines) must parse exactly as
-  // before: both optionals absent, state intact.
+  // A pre-v3 checkpoint (no config line) must parse exactly as before:
+  // config absent, state intact.
   std::stringstream stream(with_crc_footer(
       "emdpa-checkpoint 2\n"
       "atoms 1 mass 0x1p+0 box 0x1p+2 step 5 pe -0x1.8p+1\n"
@@ -236,7 +263,6 @@ TEST(Checkpoint, V2WithoutOptionalSectionsStillLoads) {
   EXPECT_EQ(cp.step, 5);
   EXPECT_TRUE(cp.has_potential);
   EXPECT_FALSE(cp.config.has_value());
-  EXPECT_FALSE(cp.langevin_rng.has_value());
 }
 
 TEST(Checkpoint, RejectsTruncatedConfigLine) {

@@ -57,7 +57,7 @@ TEST(HealthMonitor, HealthyStatePasses) {
   const ParticleSystem system = healthy_system();
   monitor.reset_baseline(energies(1.0, -5.0));
   EXPECT_NO_THROW(monitor.check(10, system, energies(1.0, -5.0), 0.005,
-                                "reference", /*conserves_energy=*/true));
+                                "reference"));
   EXPECT_EQ(monitor.checks_run(), 1u);
 }
 
@@ -66,8 +66,7 @@ TEST(HealthMonitor, DetectsNonFinitePositionWithContext) {
   ParticleSystem system = healthy_system();
   system.positions()[3].y = kNan;
   try {
-    monitor.check(40, system, energies(1.0, -5.0), 0.005, "neighbor-list",
-                  true);
+    monitor.check(40, system, energies(1.0, -5.0), 0.005, "neighbor-list");
     FAIL() << "NaN position must trip the watchdog";
   } catch (const NumericalFailure& e) {
     EXPECT_NE(std::string(e.what()).find("atom 3"), std::string::npos);
@@ -83,20 +82,20 @@ TEST(HealthMonitor, DetectsNonFiniteVelocityAndForce) {
   ParticleSystem with_velocity = healthy_system();
   with_velocity.velocities()[0].x = kInf;
   EXPECT_THROW(
-      monitor.check(10, with_velocity, energies(1.0, -5.0), 0.005, "k", true),
+      monitor.check(10, with_velocity, energies(1.0, -5.0), 0.005, "k"),
       NumericalFailure);
 
   ParticleSystem with_force = healthy_system();
   with_force.accelerations()[5].z = kNan;
   EXPECT_THROW(
-      monitor.check(10, with_force, energies(1.0, -5.0), 0.005, "k", true),
+      monitor.check(10, with_force, energies(1.0, -5.0), 0.005, "k"),
       NumericalFailure);
 }
 
 TEST(HealthMonitor, DetectsNonFiniteTotalEnergy) {
   HealthMonitor monitor(HealthPolicy{});
   const ParticleSystem system = healthy_system();
-  EXPECT_THROW(monitor.check(10, system, energies(kNan, 0.0), 0.005, "k", true),
+  EXPECT_THROW(monitor.check(10, system, energies(kNan, 0.0), 0.005, "k"),
                NumericalFailure);
 }
 
@@ -107,7 +106,7 @@ TEST(HealthMonitor, FiniteCheckCanBeDisabled) {
   ParticleSystem system = healthy_system();
   system.positions()[0].x = kNan;
   EXPECT_NO_THROW(
-      monitor.check(10, system, energies(1.0, -5.0), 0.005, "k", true));
+      monitor.check(10, system, energies(1.0, -5.0), 0.005, "k"));
 }
 
 TEST(HealthMonitor, DetectsDisplacementExplosion) {
@@ -115,7 +114,7 @@ TEST(HealthMonitor, DetectsDisplacementExplosion) {
   ParticleSystem system = healthy_system();
   system.velocities()[7] = {500.0, 0.0, 0.0};  // 2.5 units per 0.005 step
   try {
-    monitor.check(10, system, energies(1.0, -5.0), 0.005, "soa-n2", true);
+    monitor.check(10, system, energies(1.0, -5.0), 0.005, "soa-n2");
     FAIL() << "an exploding atom must trip the displacement check";
   } catch (const NumericalFailure& e) {
     EXPECT_NE(std::string(e.what()).find("displacement"), std::string::npos);
@@ -127,7 +126,7 @@ TEST(HealthMonitor, DetectsEnergyDrift) {
   const ParticleSystem system = healthy_system();
   monitor.reset_baseline(energies(1.0, -5.0));  // total -4
   try {
-    monitor.check(10, system, energies(1.5, -5.0), 0.005, "reference", true);
+    monitor.check(10, system, energies(1.5, -5.0), 0.005, "reference");
     FAIL() << "12% drift must exceed the 5% tolerance";
   } catch (const NumericalFailure& e) {
     EXPECT_NE(std::string(e.what()).find("drift"), std::string::npos);
@@ -139,17 +138,7 @@ TEST(HealthMonitor, SmallDriftWithinToleranceIsHealthy) {
   const ParticleSystem system = healthy_system();
   monitor.reset_baseline(energies(1.0, -5.0));
   EXPECT_NO_THROW(
-      monitor.check(10, system, energies(1.1, -5.0), 0.005, "reference", true));
-}
-
-TEST(HealthMonitor, DriftCheckSkippedWhenThermostatted) {
-  // A thermostat pumps energy on purpose; only conservative runs are held to
-  // the drift tolerance.
-  HealthMonitor monitor(HealthPolicy{});
-  const ParticleSystem system = healthy_system();
-  monitor.reset_baseline(energies(1.0, -5.0));
-  EXPECT_NO_THROW(monitor.check(10, system, energies(9.0, -5.0), 0.005,
-                                "reference", /*conserves_energy=*/false));
+      monitor.check(10, system, energies(1.1, -5.0), 0.005, "reference"));
 }
 
 TEST(HealthMonitor, ResetBaselineForgivesPriorDrift) {
@@ -158,7 +147,7 @@ TEST(HealthMonitor, ResetBaselineForgivesPriorDrift) {
   monitor.reset_baseline(energies(1.0, -5.0));
   monitor.reset_baseline(energies(2.0, -5.0));  // e.g. after a kernel swap
   EXPECT_NO_THROW(
-      monitor.check(10, system, energies(2.0, -5.0), 0.005, "reference", true));
+      monitor.check(10, system, energies(2.0, -5.0), 0.005, "reference"));
 }
 
 TEST(StateIsFinite, FlagsEachArray) {

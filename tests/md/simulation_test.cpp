@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "core/error.h"
-#include "md/observables.h"
 #include "md/simulation.h"
 
 namespace emdpa::md {
@@ -60,37 +59,6 @@ TEST(Simulation, CellListOptionMatchesBruteForce) {
               1e-9 * std::fabs(brute.last_energies().potential));
 }
 
-TEST(Simulation, ThermostatPullsTemperatureToTarget) {
-  auto options = small_options();
-  options.workload.temperature = 2.0;
-  Simulation sim(options);
-  sim.set_thermostat(BerendsenThermostat(0.5, 0.5));
-  sim.run(60);
-  EXPECT_NEAR(temperature_of(sim.system()), 0.5, 0.15);
-}
-
-TEST(Simulation, ClearThermostatRestoresNve) {
-  Simulation sim(small_options());
-  sim.set_thermostat(BerendsenThermostat(0.5, 1.0));
-  sim.run(5);
-  sim.clear_thermostat();
-  const double e_before = sim.last_energies().total();
-  sim.run(10);
-  // NVE: drift stays small (vs the thermostat, which would keep draining).
-  EXPECT_NEAR(sim.last_energies().total(), e_before,
-              0.05 * std::fabs(e_before));
-}
-
-TEST(Simulation, BondsContributeEnergy) {
-  Simulation sim(small_options());
-  const double pe_before = sim.last_energies().potential;
-  // A stretched bond between two far-apart atoms adds positive PE.
-  BondTopology bonds;
-  bonds.add_bond({0, 124, 10.0, 0.5});
-  sim.set_bonds(bonds);
-  EXPECT_GT(sim.last_energies().potential, pe_before);
-}
-
 TEST(Simulation, CheckpointResumeContinuesBitIdentically) {
   Simulation sim(small_options());
   sim.run(7);
@@ -116,54 +84,6 @@ TEST(Simulation, DeterministicForSameOptions) {
   for (std::size_t i = 0; i < a.system().size(); ++i) {
     EXPECT_EQ(a.system().positions()[i], b.system().positions()[i]);
   }
-}
-
-
-TEST(Simulation, MinimizeUsesFullForceField) {
-  Simulation sim(small_options());
-  // Attach a strongly stretched bond; minimisation must relieve it, which a
-  // pure-LJ minimiser could not.
-  BondTopology bonds;
-  bonds.add_bond({0, 1, 200.0, 0.5});
-  sim.set_bonds(bonds);
-  const double e0 = sim.last_energies().potential;
-  MinimizeOptions options;
-  options.max_iterations = 100;
-  options.force_tolerance = 0.5;
-  const auto r = sim.minimize(options);
-  EXPECT_LT(r.final_energy, e0);
-  // The integrator was re-primed: stepping works immediately.
-  EXPECT_NO_THROW(sim.step());
-}
-
-
-TEST(Simulation, AnglesContributeEnergy) {
-  Simulation sim(small_options());
-  const double pe_before = sim.last_energies().potential;
-  // Three nearby atoms forced toward a straight line from a bent geometry.
-  AngleTopology angles;
-  angles.add_angle({0, 1, 5, 50.0, 3.14159265358979});
-  sim.set_angles(angles);
-  EXPECT_GT(sim.last_energies().potential, pe_before);
-}
-
-TEST(Simulation, LangevinThermostatControlsTemperature) {
-  auto options = small_options();
-  options.workload.temperature = 2.5;
-  Simulation sim(options);
-  sim.set_thermostat(LangevinThermostat(0.8, 5.0, 17));
-  sim.run(150);
-  EXPECT_NEAR(temperature_of(sim.system()), 0.8, 0.3);
-}
-
-TEST(Simulation, SettingOneThermostatClearsTheOther) {
-  Simulation sim(small_options());
-  sim.set_thermostat(BerendsenThermostat(0.1, 1.0));
-  sim.set_thermostat(LangevinThermostat(2.0, 5.0, 3));
-  // If Berendsen (target 0.1, instant) were still active the system would
-  // freeze; under Langevin at 2.0 it stays hot.
-  sim.run(100);
-  EXPECT_GT(temperature_of(sim.system()), 1.0);
 }
 
 }  // namespace

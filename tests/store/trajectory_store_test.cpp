@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/crc32.h"
 #include "core/error.h"
 #include "core/fault_injection.h"
 #include "core/random.h"
@@ -255,6 +256,38 @@ TEST_F(TrajectoryStoreTest, UnknownStepsFailLoudly) {
   EXPECT_THROW(store.load_step(7), RuntimeFailure);
   EXPECT_FALSE(store.has_step(7));
   EXPECT_EQ(store.newest_step(), 0L);
+}
+
+// A keyframe is a checkpoint file, so a CRC-valid one carrying the legacy
+// `rng langevin` line a thermostatted run once wrote fails restoration
+// typed, for the keyframe's own step and for the deltas that hang off it.
+TEST_F(TrajectoryStoreTest, KeyframeWithLegacyRngSectionFailsLoudly) {
+  Simulation::Options options;
+  options.workload.n_atoms = 32;
+  options.kernel = SimKernel::kSoaN2;
+  Simulation sim(options);
+  {
+    TrajectoryStore store(store_options(4));
+    record_run(sim, store, 2, 1);
+  }
+  const fs::path key = fs::path(dir_) / "frame_000000000000.key";
+  std::string body;
+  {
+    std::ifstream in(key, std::ios::binary);
+    body = strip_crc_footer({std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()},
+                            "test");
+  }
+  const std::size_t config = body.find("\nconfig ");
+  ASSERT_NE(config, std::string::npos);
+  body.insert(body.find('\n', config + 1) + 1,
+              "rng langevin 1 2 3 4 0x0p+0 0\n");
+  std::ofstream(key, std::ios::binary | std::ios::trunc)
+      << with_crc_footer(body);
+
+  TrajectoryStore reopened(store_options(4));
+  EXPECT_THROW(reopened.load_step(0), RuntimeFailure);
+  EXPECT_THROW(reopened.load_step(2), RuntimeFailure);
 }
 
 // The pure-observer guarantee the whole design rests on: snapshotting (and

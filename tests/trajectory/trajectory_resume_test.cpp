@@ -132,43 +132,6 @@ TEST_P(TrajectoryResumeTest, ResumeDoesNotRePrime) {
   EXPECT_EQ(resumed.force_evaluations(), 0u);
 }
 
-TEST(TrajectoryLangevinResume, MidpointResumeIsBitIdentical) {
-  // The Langevin thermostat's RNG state rides in the v3 checkpoint: a
-  // resumed run re-attaching the thermostat — even with a DIFFERENT seed —
-  // continues the checkpointed noise sequence, so the stochastic trajectory
-  // stays bit-identical to the uninterrupted one.
-  Simulation::Options options;
-  options.workload.n_atoms = 256;
-  constexpr int kTotalSteps = 300;
-  constexpr int kCheckpointStep = 150;
-
-  Simulation uninterrupted(options);
-  uninterrupted.set_thermostat(LangevinThermostat(1.2, 2.0, 77));
-  uninterrupted.run(kCheckpointStep);
-  std::stringstream checkpoint;
-  uninterrupted.save(checkpoint);
-  uninterrupted.run(kTotalSteps - kCheckpointStep);
-
-  Simulation resumed = Simulation::resume(checkpoint, options);
-  // Seed 999: the restored checkpoint state must fully override it.
-  resumed.set_thermostat(LangevinThermostat(1.2, 2.0, 999));
-  resumed.run(kTotalSteps - kCheckpointStep);
-
-  ASSERT_EQ(resumed.system().size(), uninterrupted.system().size());
-  for (std::size_t i = 0; i < resumed.system().size(); ++i) {
-    EXPECT_EQ(resumed.system().positions()[i],
-              uninterrupted.system().positions()[i])
-        << "position diverged at atom " << i;
-    EXPECT_EQ(resumed.system().velocities()[i],
-              uninterrupted.system().velocities()[i])
-        << "velocity diverged at atom " << i;
-  }
-  EXPECT_EQ(resumed.last_energies().kinetic,
-            uninterrupted.last_energies().kinetic);
-  EXPECT_EQ(resumed.last_energies().potential,
-            uninterrupted.last_energies().potential);
-}
-
 TEST(TrajectoryResumeConfig, KernelMismatchFailsLoudly) {
   // v3 checkpoints record the producing run's kernel/precision/ISA; resuming
   // under different arithmetic would silently fork the trajectory, so it
